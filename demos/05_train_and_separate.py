@@ -13,11 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from casep.checkpoint import load_checkpoint, load_model_state
+from casep.checkpoint import load_separator
 from casep.codec import Waveform
 from casep.config import parse_flat, synthetic_spec_from_flat
 from casep.metrics import si_snri
-from casep.model import Separator
 from casep.synth import gen_mixture
 from casep.training import dump_attention_run, train_run
 from casep.wavio import write_wav
@@ -68,9 +67,7 @@ spec = synthetic_spec_from_flat(entries, 2, 8000)
 spec.seed = 1234
 mixture, sources = gen_mixture(spec, index=0)
 
-cfg, _, tensors = load_checkpoint(result.checkpoint_path)
-model = Separator.build(cfg, seed=0)
-load_model_state(model, tensors)
+model, _ = load_separator(result.checkpoint_path)
 estimates = model.separate(mixture)
 
 improvement = si_snri(

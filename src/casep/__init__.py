@@ -32,14 +32,13 @@ from .metrics import PitResult, sdri, sdr, si_snr, si_snri, upit_loss
 from .analyzer import (
     REFERENCE_BUDGETS,
     ParamReport,
-    count_empirical,
     count_table,
     layer_param_counts,
     model_param_report,
 )
 from .synth import gen_mixture
-from .checkpoint import load_checkpoint, load_model_state, model_state, \
-    save_checkpoint
+from .checkpoint import load_checkpoint, load_model_state, load_separator, \
+    model_state, save_checkpoint
 from .wavio import WavFormatError, read_wav, write_wav
 from .training import (
     eval_model,
@@ -81,7 +80,6 @@ __all__ = [
     "WavFormatError",
     "Waveform",
     "channel_split",
-    "count_empirical",
     "count_table",
     "default_model_config",
     "eval_model",
@@ -91,6 +89,7 @@ __all__ = [
     "layer_param_counts",
     "load_checkpoint",
     "load_model_state",
+    "load_separator",
     "model_config_from_flat",
     "model_config_to_flat",
     "model_param_report",

@@ -136,13 +136,8 @@ def model_param_report(cfg: ModelConfig, model: Module | None = None) -> ParamRe
         },
     )
     if model is not None:
-        report.total_empirical = count_empirical(model)
+        report.total_empirical = model.param_count()
     return report
-
-
-def count_empirical(model: Module) -> int:
-    """Sum of extents over unique parameter tensors (shared counted once)."""
-    return model.param_count()
 
 
 def format_param_report(report: ParamReport) -> str:

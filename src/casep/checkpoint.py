@@ -14,6 +14,7 @@ original config file. Optimizer state rides along under reserved
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .config import ModelConfig, model_config_from_flat, model_config_to_flat, \
     parse_flat, serialize_flat
-from .nn import Module
+from .model import Separator
+from .nn import Module, unique_named
 from .tensor import ConfigError
 
 MAGIC = b"TSEP"
@@ -46,12 +48,22 @@ def save_checkpoint(path, cfg: ModelConfig, tensors: dict[str, np.ndarray],
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    # write a sibling file and rename it over the target, so an interrupted
+    # save leaves the previous checkpoint intact
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(b"".join(parts))
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    def __init__(self, path):
+        self.path = path
+        self.blob = Path(path).read_bytes()
         self.pos = 0
 
     def take(self, n: int) -> bytes:
@@ -64,20 +76,26 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self, what: str) -> str:
+        try:
+            return self.take(self.u32()).decode()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{self.path}: checkpoint {what} is not UTF-8") from None
+
 
 def load_checkpoint(path):
     """Returns (ModelConfig, raw config entries, {name: float32 array})."""
-    r = _Reader(Path(path).read_bytes())
+    r = _Reader(path)
     if r.take(4) != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint (bad magic)")
     version = r.u32()
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    entries = parse_flat(r.take(r.u32()).decode())
+    entries = parse_flat(r.text("config"))
     cfg = model_config_from_flat(entries)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode()
+        name = r.text("tensor name")
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
@@ -90,14 +108,7 @@ def load_checkpoint(path):
 
 def model_state(model: Module) -> dict[str, np.ndarray]:
     """Named weights in graph order, deduplicated (shared appear once)."""
-    out: dict[str, np.ndarray] = {}
-    seen: set[int] = set()
-    for name, p in model.named_parameters():
-        if id(p) in seen:
-            continue
-        seen.add(id(p))
-        out[name] = p.data
-    return out
+    return {name: p.data for name, p in unique_named(model.named_parameters())}
 
 
 def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
@@ -119,3 +130,11 @@ def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
                 f"vs model {p.data.shape}"
             )
         p.data = arr.astype(p.data.dtype)
+
+
+def load_separator(path) -> tuple[Separator, dict[str, str]]:
+    """Rebuild the model a checkpoint stores: (model, raw config entries)."""
+    cfg, entries, tensors = load_checkpoint(path)
+    model = Separator.build(cfg, 0)
+    load_model_state(model, tensors)
+    return model, entries

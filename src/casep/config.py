@@ -283,8 +283,8 @@ def model_config_to_flat(cfg: ModelConfig) -> dict[str, str]:
 
 
 def synthetic_spec_from_flat(entries: dict[str, str], n_sources: int,
-                             sample_rate: int, section: str = "data") -> SyntheticSpec:
-    g = lambda key, conv, default=None: _get(entries, f"{section}.{key}", conv, default)
+                             sample_rate: int) -> SyntheticSpec:
+    g = lambda key, conv, default=None: _get(entries, f"data.{key}", conv, default)
     spec = SyntheticSpec(
         n_sources=n_sources,
         length=g("length", int, 512),

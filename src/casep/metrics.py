@@ -25,12 +25,11 @@ def _as_signal(x) -> Tensor:
     return t
 
 
-def si_snr(est, target, eps: float = 1e-8, zero_mean: bool = True) -> Tensor:
-    """Scale-invariant signal-to-noise ratio in dB (scalar tensor).
-
-    The target is rescaled by the estimate's projection coefficient; the
-    ratio of projected-signal power to residual power is reported in dB.
-    """
+def _projection_db(est, target, eps: float, zero_mean: bool,
+                   scaled_numerator: bool) -> Tensor:
+    """Project the estimate onto the target and return, in dB, the signal
+    power over the power of the residual. The signal is the projected
+    target when ``scaled_numerator`` is set, otherwise the plain target."""
     est = _as_signal(est)
     target = _as_signal(target)
     if est.shape != target.shape:
@@ -45,9 +44,19 @@ def si_snr(est, target, eps: float = 1e-8, zero_mean: bool = True) -> Tensor:
     scale = T.div(dot, T.add(energy, eps))
     projected = T.mul(scale, target)
     residual = T.sub(est, projected)
-    num = T.add(T.tsum(T.mul(projected, projected)), eps)
+    signal = T.tsum(T.mul(projected, projected)) if scaled_numerator else energy
+    num = T.add(signal, eps)
     den = T.add(T.tsum(T.mul(residual, residual)), eps)
     return T.decibels(T.div(num, den))
+
+
+def si_snr(est, target, eps: float = 1e-8, zero_mean: bool = True) -> Tensor:
+    """Scale-invariant signal-to-noise ratio in dB (scalar tensor).
+
+    The target is rescaled by the estimate's projection coefficient; the
+    ratio of projected-signal power to residual power is reported in dB.
+    """
+    return _projection_db(est, target, eps, zero_mean, scaled_numerator=True)
 
 
 def sdr(est, target, eps: float = 1e-8, zero_mean: bool = True) -> Tensor:
@@ -57,22 +66,7 @@ def sdr(est, target, eps: float = 1e-8, zero_mean: bool = True) -> Tensor:
     stands in for full distortion-ratio scoring with its allowed-filter
     projection, which is out of scope.
     """
-    est = _as_signal(est)
-    target = _as_signal(target)
-    if est.shape != target.shape:
-        raise ContractError(
-            f"signal lengths differ: {est.shape[0]} vs {target.shape[0]}"
-        )
-    if zero_mean:
-        est = T.sub(est, est.mean())
-        target = T.sub(target, target.mean())
-    dot = T.tsum(T.mul(est, target))
-    energy = T.tsum(T.mul(target, target))
-    scale = T.div(dot, T.add(energy, eps))
-    residual = T.sub(est, T.mul(scale, target))
-    num = T.add(energy, eps)
-    den = T.add(T.tsum(T.mul(residual, residual)), eps)
-    return T.decibels(T.div(num, den))
+    return _projection_db(est, target, eps, zero_mean, scaled_numerator=False)
 
 
 @dataclass

@@ -39,6 +39,15 @@ def ones_param(shape, dtype=np.float32) -> Parameter:
     return Parameter(np.ones(shape, dtype=dtype))
 
 
+def unique_named(named_params) -> list[tuple[str, Parameter]]:
+    """(name, parameter) pairs in order, keeping the first name of each
+    parameter object; shared weights appear once."""
+    first: dict[int, tuple[str, Parameter]] = {}
+    for name, p in named_params:
+        first.setdefault(id(p), (name, p))
+    return list(first.values())
+
+
 class Module:
     """Base class with automatic parameter/submodule registration.
 
@@ -67,13 +76,7 @@ class Module:
             yield from m.named_parameters(sub)
 
     def parameters(self) -> list[Parameter]:
-        seen: set[int] = set()
-        out = []
-        for _, p in self.named_parameters():
-            if id(p) not in seen:
-                seen.add(id(p))
-                out.append(p)
-        return out
+        return [p for _, p in unique_named(self.named_parameters())]
 
     def zero_grad(self) -> None:
         for p in self.parameters():

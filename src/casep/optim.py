@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .nn import unique_named
 from .tensor import ConfigError
 
 
@@ -26,14 +27,7 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        # preserve insertion order, dedupe shared parameters by identity
-        self._entries = []
-        seen: set[int] = set()
-        for name, p in named_params:
-            if id(p) in seen:
-                continue
-            seen.add(id(p))
-            self._entries.append((name, p))
+        self._entries = unique_named(named_params)
         self._m = {name: np.zeros_like(p.data) for name, p in self._entries}
         self._v = {name: np.zeros_like(p.data) for name, p in self._entries}
 
@@ -58,10 +52,6 @@ class Adam:
                 np.sqrt(v_hat) + p.data.dtype.type(self.eps)
             )
 
-    def zero_grad(self) -> None:
-        for _, p in self._entries:
-            p.grad = np.zeros_like(p.data)
-
     # -- checkpoint integration ------------------------------------------
 
     def state_tensors(self) -> dict[str, np.ndarray]:
@@ -73,6 +63,9 @@ class Adam:
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
+        missing = [k for k in self.state_tensors() if k not in tensors]
+        if missing:
+            raise ConfigError(f"checkpoint lacks optimizer state: {', '.join(missing[:3])}")
         self.step_count = int(round(float(tensors["optim.step"][0])))
         for name, p in self._entries:
             m = tensors[f"optim.m.{name}"]

@@ -4,7 +4,7 @@ Everything is backed by numpy arrays in float32 or float64. Each
 differentiable operation records a backward closure on its output; calling
 ``backward()`` on a scalar runs the closures in reverse topological order
 and accumulates gradients on every tensor that requires them. Every op
-output is checked for NaN/Inf (see ``finite_checks``).
+output is checked for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
 
 
-# Graph recording can be suspended (inference); finiteness checks can be
-# disabled for micro-benchmarks but are on by default.
+# Graph recording can be suspended (inference).
 _grad_enabled = True
-finite_checks = True
 
 
 @contextmanager
@@ -51,7 +49,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    if finite_checks and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteError("operation produced a non-finite value")
 
 
@@ -87,9 +85,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -144,18 +139,6 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         return transpose(self, axes)
-
-    def relu(self):
-        return relu(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def log(self):
-        return log(self)
-
-    def exp(self):
-        return exp(self)
 
     # -- backward pass ----------------------------------------------------
 
@@ -606,25 +589,6 @@ def depthwise_conv1d(x, kernels) -> Tensor:
             _accum(x, gxp[:, :, pad : pad + t].reshape(x.data.shape))
 
     return _from_op(out_data, (x, kernels), bwd)
-
-
-def pointwise_conv1d(x, weight, bias=None) -> Tensor:
-    """Per-frame channel mixing on (C, T): y[:, t] = weight @ x[:, t] (+ bias).
-
-    Implemented as ``linear`` on the transposed layout, so the two agree
-    bit for bit in the same precision.
-    """
-    x, weight = _wrap(x), _wrap(weight)
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ShapeError("pointwise_conv1d expects x (C, T) and weight (C, C)")
-    if weight.data.shape[0] != weight.data.shape[1] or weight.data.shape[0] != x.data.shape[0]:
-        raise ShapeError(
-            f"pointwise weight {weight.data.shape} incompatible with x {x.data.shape}"
-        )
-    frames = transpose(x, (1, 0))
-    w_t = transpose(weight, (1, 0))
-    out = linear(frames, w_t, bias)
-    return transpose(out, (1, 0))
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

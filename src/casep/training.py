@@ -17,13 +17,14 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import AttentionRecorder
-from .checkpoint import load_checkpoint, load_model_state, model_state, \
-    save_checkpoint
+from .checkpoint import load_checkpoint, load_model_state, load_separator, \
+    model_state, save_checkpoint
 from .config import EvalSettings, ModelConfig, SyntheticSpec, config_hash, \
     eval_settings_from_flat, model_config_from_flat, model_config_to_flat, \
     serialize_flat, synthetic_spec_from_flat, train_settings_from_flat
 from .metrics import sdri, si_snri, upit_loss
 from .model import Separator
+from .nn import unique_named
 from .optim import Adam
 from .synth import gen_mixture
 from .tensor import ConfigError, NonFiniteError, Tensor, no_grad
@@ -48,21 +49,6 @@ def example_loss(model: Separator, mix: np.ndarray, sources: list[np.ndarray]):
     n = ests[0].shape[0]
     targets = [s[:n] for s in sources]
     return upit_loss(ests, targets)
-
-
-def _model_si_snri(model: Separator, spec: SyntheticSpec, indices) -> float:
-    dtype = model.cfg.dtype
-    vals = []
-    with no_grad():
-        for idx in indices:
-            mix, sources = mixture_arrays(spec, idx, dtype)
-            ests, _ = model.forward(Tensor(mix))
-            n = ests[0].shape[0]
-            est_arrs = [e.data for e in ests]
-            vals.append(
-                si_snri(est_arrs, [s[:n] for s in sources], mix[:n])
-            )
-    return float(np.mean(vals))
 
 
 def write_report(out_dir: Path, stem: str, text: str, kv: dict[str, str]) -> None:
@@ -126,7 +112,7 @@ def train_run(entries: dict[str, str], resume: str | None = None,
             echo(f"step {step:5d}  loss {value:+.3f}")
     wall = time.perf_counter() - t0
 
-    snri = _model_si_snri(model, spec, range(8))
+    snri = eval_model(model, spec, EvalSettings(count=8, seed=spec.seed)).si_snri_mean
     ck_path = out_dir / "model.tsep"
     tensors = dict(model_state(model))
     tensors.update(opt.state_tensors())
@@ -203,12 +189,7 @@ def grad_check_run(cfg: ModelConfig, spec: SyntheticSpec, seed: int = 0,
     pit = example_loss(model, mix, sources)
     pit.loss.backward()
 
-    groups = []
-    seen: set[int] = set()
-    for name, p in model.named_parameters():
-        if id(p) not in seen:
-            seen.add(id(p))
-            groups.append((name, p))
+    groups = unique_named(model.named_parameters())
     per_group = max(1, math.ceil(min_coords / len(groups)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 424243)))
     coords = []
@@ -292,10 +273,8 @@ def eval_model(model: Separator, spec: SyntheticSpec,
 
 
 def eval_run(ckpt_path: str, entries: dict[str, str]) -> tuple[EvalResult, Path]:
-    cfg, ck_entries, tensors = load_checkpoint(ckpt_path)
-    model = Separator.build(cfg, 0)
-    load_model_state(model, tensors)
-    spec = synthetic_spec_from_flat(entries, cfg.speakers, cfg.sample_rate)
+    model, ck_entries = load_separator(ckpt_path)
+    spec = synthetic_spec_from_flat(entries, model.cfg.speakers, model.cfg.sample_rate)
     settings = eval_settings_from_flat(entries)
     trained_seed = ck_entries.get("trained.data_seed")
     if trained_seed is not None and int(trained_seed) == settings.seed:
@@ -327,14 +306,12 @@ def eval_run(ckpt_path: str, entries: dict[str, str]) -> tuple[EvalResult, Path]
 
 
 def separate_files(ckpt_path: str, wav_path: str, out_dir: str) -> list[Path]:
-    cfg, _, tensors = load_checkpoint(ckpt_path)
-    model = Separator.build(cfg, 0)
-    load_model_state(model, tensors)
+    model, _ = load_separator(ckpt_path)
     wav = read_wav(wav_path)
-    if wav.sample_rate != cfg.sample_rate:
+    if wav.sample_rate != model.cfg.sample_rate:
         raise ConfigError(
             f"{wav_path}: sample rate {wav.sample_rate} != model rate "
-            f"{cfg.sample_rate} (resampling is not performed)"
+            f"{model.cfg.sample_rate} (resampling is not performed)"
         )
     outs = model.separate(wav)
     out = Path(out_dir)
@@ -373,9 +350,8 @@ class AttentionSelector:
 
 def dump_attention_run(ckpt_path: str, wav_path: str, selector_text: str,
                        out_dir: str) -> Path:
-    cfg, _, tensors = load_checkpoint(ckpt_path)
-    model = Separator.build(cfg, 0)
-    load_model_state(model, tensors)
+    model, _ = load_separator(ckpt_path)
+    cfg = model.cfg
     sel = AttentionSelector.parse(selector_text)
     if not 0 <= sel.block < cfg.n_blocks:
         raise ConfigError(f"block {sel.block} out of range [0, {cfg.n_blocks})")

@@ -7,7 +7,6 @@ from conftest import tiny_model_config
 from casep.analyzer import (
     REFERENCE_BUDGETS,
     attention_weight_params,
-    count_empirical,
     count_table,
     format_param_report,
     layer_param_counts,
@@ -115,11 +114,6 @@ class TestModelReport:
             full = model_param_report(cfg_full)
             tied = model_param_report(cfg_tied)
             assert full.mask_net_layers == reps * tied.mask_net_layers
-
-    def test_empirical_hand_example(self):
-        from casep.nn import Linear
-
-        assert count_empirical(Linear(3, 2, np.random.default_rng(0))) == 8
 
     def test_report_text_carries_verdict(self):
         cfg = tiny_model_config()

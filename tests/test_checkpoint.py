@@ -1,5 +1,6 @@
 """Binary checkpoint container: layout, round trips, error paths."""
 
+import os
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from casep.checkpoint import (
     VERSION,
     load_checkpoint,
     load_model_state,
+    load_separator,
     model_state,
     save_checkpoint,
 )
@@ -63,6 +65,32 @@ class TestRoundTrip:
         load_model_state(fresh, tensors)
         for name, original in model_state(model).items():
             assert np.array_equal(model_state(fresh)[name], original), name
+
+    def test_load_separator_rebuilds_model(self, ckpt_path):
+        cfg = tiny_model_config()
+        model = Separator.build(cfg, seed=3)
+        save_checkpoint(ckpt_path, cfg, model_state(model), {"trained.steps": "5"})
+        loaded, entries = load_separator(ckpt_path)
+        assert model_config_to_flat(loaded.cfg) == model_config_to_flat(cfg)
+        assert entries["trained.steps"] == "5"
+        for name, original in model_state(model).items():
+            assert np.array_equal(model_state(loaded)[name], original), name
+
+    def test_failed_rename_keeps_previous_checkpoint(self, ckpt_path, monkeypatch):
+        cfg = tiny_model_config()
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
+        before = ckpt_path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=4)))
+        monkeypatch.undo()
+        assert ckpt_path.read_bytes() == before
+        assert [p.name for p in ckpt_path.parent.iterdir()] == [ckpt_path.name]
+        load_separator(ckpt_path)
 
     def test_shared_weights_stored_once(self, ckpt_path):
         cfg = tiny_model_config(shared=True)

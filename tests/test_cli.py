@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from conftest import SMOKE_CONFIG_TEXT, two_sine_spec
 
+from casep.checkpoint import model_state, save_checkpoint
 from casep.cli import main
 from casep.codec import Waveform
+from casep.config import model_config_from_flat, parse_flat
+from casep.model import Separator
 from casep.synth import gen_mixture
 from casep.wavio import read_wav, write_wav
 
@@ -24,6 +27,14 @@ def trained(tmp_path, config_file, capsys):
     assert main(["train", str(config_file)]) == 0
     capsys.readouterr()
     return tmp_path / "run" / "model.tsep"
+
+
+def assert_one_line_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
 
 
 @pytest.fixture
@@ -45,6 +56,14 @@ class TestTrain:
         assert main(["train", str(config_file), "--resume", str(trained)]) == 0
         assert "steps          4 -> 4" in capsys.readouterr().out
 
+    def test_resume_without_optimizer_state_is_a_cli_error(self, config_file,
+                                                          tmp_path, capsys):
+        cfg = model_config_from_flat(parse_flat(config_file.read_text()))
+        weights = tmp_path / "weights.tsep"
+        save_checkpoint(weights, cfg, model_state(Separator.build(cfg, 0)))
+        code = main(["train", str(config_file), "--resume", str(weights)])
+        assert "lacks optimizer state: optim.step" in assert_one_line_error(code, capsys)
+
     def test_missing_config_is_a_cli_error(self, capsys):
         assert main(["train", "/nonexistent.cfg"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -60,6 +79,21 @@ class TestSeparate:
         for line in printed:
             wav = read_wav(line)
             assert len(wav) == len(read_wav(mixture_wav))
+
+    def test_too_short_wav_is_a_cli_error(self, trained, tmp_path, capsys):
+        short = tmp_path / "two_samples.wav"
+        write_wav(short, Waveform(np.array([0.1, -0.1]), 8000))
+        code = main(["separate", str(trained), str(short), str(tmp_path / "sep")])
+        assert_one_line_error(code, capsys)
+
+    def test_corrupt_checkpoint_text_is_a_cli_error(self, trained, mixture_wav,
+                                                    tmp_path, capsys):
+        blob = bytearray(trained.read_bytes())
+        blob[12] = 0xFF    # first byte of the embedded config text
+        trained.write_bytes(bytes(blob))
+        code = main(["separate", str(trained), str(mixture_wav),
+                     str(tmp_path / "sep")])
+        assert "checkpoint config is not UTF-8" in assert_one_line_error(code, capsys)
 
     def test_bad_wav_is_a_cli_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.wav"

@@ -75,7 +75,6 @@ class TestConvergence:
         opt = Adam([("p", p)], lr=0.1)
         history = []
         for _ in range(400):
-            opt.zero_grad()
             p.grad = 2.0 * (p.data - 3.0)          # d/dw (w - 3)^2
             opt.step()
             history.append(float((p.data[0] - 3.0) ** 2))

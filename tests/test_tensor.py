@@ -252,35 +252,6 @@ class TestDepthwiseConv1d:
                  [rng.standard_normal((2, 3, 7)), rng.standard_normal((3, 3))])
 
 
-class TestPointwiseConv1d:
-    def test_identity(self):
-        x = np.random.default_rng(16).standard_normal((3, 5))
-        out = T.pointwise_conv1d(Tensor(x), Tensor(np.eye(3)),
-                                 Tensor(np.zeros(3)))
-        assert np.allclose(out.data, x)
-
-    def test_hand_swap(self):
-        out = T.pointwise_conv1d(Tensor([[1.0], [2.0]]),
-                                 Tensor([[0.0, 1.0], [1.0, 0.0]]),
-                                 Tensor(np.zeros(2)))
-        assert np.array_equal(out.data, [[2.0], [1.0]])
-
-    def test_equals_linear_per_frame_bitwise(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((4, 6))
-        w = rng.standard_normal((4, 4))
-        b = rng.standard_normal(4)
-        via_conv = T.pointwise_conv1d(Tensor(x), Tensor(w), Tensor(b)).data
-        via_linear = T.linear(Tensor(x.T), Tensor(w.T), Tensor(b)).data.T
-        assert np.array_equal(via_conv, via_linear)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(18)
-        fd_check(T.pointwise_conv1d,
-                 [rng.standard_normal((3, 4)), rng.standard_normal((3, 3)),
-                  rng.standard_normal(3)])
-
-
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
         out = T.layer_norm(Tensor([[2.0, 2.0, 2.0]]), Tensor(np.ones(3)),
