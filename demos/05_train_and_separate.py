@@ -16,7 +16,7 @@ import numpy as np
 from casep.checkpoint import load_separator
 from casep.codec import Waveform
 from casep.config import parse_flat, synthetic_spec_from_flat
-from casep.metrics import si_snri
+from casep.metrics import improvements
 from casep.synth import gen_mixture
 from casep.training import dump_attention_run, train_run
 from casep.wavio import write_wav
@@ -70,7 +70,7 @@ mixture, sources = gen_mixture(spec, index=0)
 model, _ = load_separator(result.checkpoint_path)
 estimates = model.separate(mixture)
 
-improvement = si_snri(
+improvement, _ = improvements(
     [e.samples for e in estimates],
     [s.samples for s in sources],
     mixture.samples,

@@ -28,7 +28,7 @@ from .config import (
     serialize_flat,
 )
 from .model import Separator
-from .metrics import PitResult, sdri, sdr, si_snr, si_snri, upit_loss
+from .metrics import PitResult, improvements, sdr, si_snr, upit_loss
 from .analyzer import (
     REFERENCE_BUDGETS,
     ParamReport,
@@ -86,6 +86,7 @@ __all__ = [
     "eval_run",
     "gen_mixture",
     "grad_check_run",
+    "improvements",
     "layer_param_counts",
     "load_checkpoint",
     "load_model_state",
@@ -99,12 +100,10 @@ __all__ = [
     "parse_flat",
     "read_wav",
     "save_checkpoint",
-    "sdri",
     "segment",
     "separate_files",
     "serialize_flat",
     "si_snr",
-    "si_snri",
     "sdr",
     "train_run",
     "upit_loss",

@@ -100,6 +100,7 @@ class HybridLayer(Module):
             attn_out, weights = self.attention_path(ha)
             if record is not None:
                 record(weights)
+            del weights  # frees the (..., T, T) map before the feed-forward
         else:
             attn_out = None
         conv_out = self.conv_path(hc) if self.depthwise is not None else None

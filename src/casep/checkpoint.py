@@ -112,7 +112,10 @@ def model_state(model: Module) -> dict[str, np.ndarray]:
 
 
 def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint weights into a built model, name by name."""
+    """Put checkpoint weights into a built model, name by name.
+
+    Arrays already in the model's dtype become the parameters' data
+    without a copy, so the caller must not reuse ``tensors`` afterwards."""
     weights = {k: v for k, v in tensors.items() if not k.startswith("optim.")}
     state = model_state(model)
     missing = sorted(set(state) - set(weights))
@@ -129,7 +132,7 @@ def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
                 f"shape mismatch for {name}: checkpoint {arr.shape} "
                 f"vs model {p.data.shape}"
             )
-        p.data = arr.astype(p.data.dtype)
+        p.data = arr.astype(p.data.dtype, copy=False)
 
 
 def load_separator(path) -> tuple[Separator, dict[str, str]]:

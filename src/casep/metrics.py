@@ -2,9 +2,9 @@
 
 ``si_snr`` is differentiable (returns a scalar graph tensor), so the
 permutation-invariant loss built on it can drive training directly.
-Improvement metrics (``si_snri``, ``sdri``) are plain floats for
-reporting; ``sdri`` uses an SNR on the unscaled residual, a documented
-approximation of full distortion-ratio evaluation.
+The improvement metrics (``improvements``: SI-SNRi and SDRi) are plain
+floats for reporting; SDRi uses an SNR on the unscaled residual, a
+documented approximation of full distortion-ratio evaluation.
 """
 
 from __future__ import annotations
@@ -101,23 +101,13 @@ def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
     return PitResult(loss, best_perm, per_pair)
 
 
-def si_snri(ests, targets, mixture, eps: float = 1e-8) -> float:
-    """Mean SI-SNR improvement of estimates over the raw mixture (dB)."""
+def improvements(ests, targets, mixture, eps: float = 1e-8) -> tuple[float, float]:
+    """Mean SI-SNR and distortion-ratio improvements of the estimates over
+    the raw mixture (dB), both under the one SI-SNR-optimal assignment."""
     pit = upit_loss(ests, targets, eps)
-    total = 0.0
+    snri = sdri = 0.0
     for i, j in enumerate(pit.permutation):
-        baseline = si_snr(mixture, targets[j], eps).item()
-        total += pit.per_pair[i][j] - baseline
-    return total / len(ests)
-
-
-def sdri(ests, targets, mixture, eps: float = 1e-8) -> float:
-    """Mean distortion-ratio improvement under the SI-SNR-optimal
-    assignment (dB)."""
-    pit = upit_loss(ests, targets, eps)
-    total = 0.0
-    for i, j in enumerate(pit.permutation):
+        snri += pit.per_pair[i][j] - si_snr(mixture, targets[j], eps).item()
         improved = sdr(ests[i], targets[j], eps).item()
-        baseline = sdr(mixture, targets[j], eps).item()
-        total += improved - baseline
-    return total / len(ests)
+        sdri += improved - sdr(mixture, targets[j], eps).item()
+    return snri / len(ests), sdri / len(ests)

@@ -176,30 +176,14 @@ class MultiHeadAttention(Module):
             )
         lead = x.shape[:-2]
         t = x.shape[-2]
-        q = T.linear(x, self.wq)
-        k = T.linear(x, self.wk)
-        v = T.linear(x, self.wv)
+        n = len(lead)
+        swap = tuple(range(n)) + (n + 1, n, n + 2)   # (..., T, H, d) <-> (..., H, T, d)
 
-        def split(z):
-            z = z.reshape(lead + (t, self.heads, self.head_dim))
-            axes = tuple(range(len(lead))) + (
-                len(lead) + 1,
-                len(lead),
-                len(lead) + 2,
-            )
-            return z.transpose(axes)
+        def heads(w):
+            z = T.linear(x, w).reshape(lead + (t, self.heads, self.head_dim))
+            return z.transpose(swap)
 
-        qh, kh, vh = split(q), split(k), split(v)
-        kt = kh.transpose(
-            tuple(range(len(lead) + 1)) + (len(lead) + 2, len(lead) + 1)
-        )
-        scores = T.mul(T.matmul(qh, kt), self.scale)
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, vh)
-        axes_back = tuple(range(len(lead))) + (
-            len(lead) + 1,
-            len(lead),
-            len(lead) + 2,
-        )
-        merged = ctx.transpose(axes_back).reshape(lead + (t, self.width))
-        return T.linear(merged, self.wo), attn
+        ctx, weights = T.attention(heads(self.wq), heads(self.wk), heads(self.wv),
+                                   self.scale)
+        merged = ctx.transpose(swap).reshape(lead + (t, self.width))
+        return T.linear(merged, self.wo), weights

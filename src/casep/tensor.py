@@ -48,9 +48,9 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, op: str = "operation") -> None:
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("operation produced a non-finite value")
+        raise NonFiniteError(f"{op} produced a non-finite value")
 
 
 class Tensor:
@@ -186,8 +186,11 @@ def _wrap(value, dtype=None) -> Tensor:
 
 
 def _from_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Build an op output node. Package-internal extension point."""
-    _check_finite(data)
+    """Build an op output node. Package-internal extension point.
+
+    ``backward`` is a closure named ``<op>.<locals>.bwd``; ``<op>`` names
+    the op in a non-finite error."""
+    _check_finite(data, backward.__qualname__.split(".", 1)[0])
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -269,26 +272,6 @@ def div(a, b) -> Tensor:
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _from_op(a.data / b.data, (a, b), bwd)
-
-
-def sqrt(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        _accum(a, g / (2.0 * out_data))
-
-    return _from_op(out_data, (a,), bwd)
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out_data)
-
-    return _from_op(out_data, (a,), bwd)
 
 
 def log(a) -> Tensor:
@@ -426,12 +409,13 @@ def matmul(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    mask = a.data > 0
 
     def bwd(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.data > 0))
 
-    return _from_op(np.where(mask, a.data, 0.0), (a,), bwd)
+    # np.maximum returns its second operand on ties, so -0.0 maps to +0.0
+    # exactly as np.where(a > 0, a, 0.0) does, at a fraction of the cost
+    return _from_op(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def prelu(a, slope) -> Tensor:
@@ -440,28 +424,58 @@ def prelu(a, slope) -> Tensor:
     slope = _wrap(slope, a.dtype)
     if slope.data.shape != ():
         raise ShapeError("prelu slope must be a scalar")
-    pos = a.data > 0
 
     def bwd(g):
+        pos = a.data > 0
         _accum(a, g * np.where(pos, 1.0, slope.data))
         _accum(slope, np.asarray(np.sum(g * np.where(pos, 0.0, a.data))))
 
-    return _from_op(np.where(pos, a.data, slope.data * a.data), (a, slope), bwd)
+    # max(a, s*a) picks a where a > 0 when s <= 1, min(a, s*a) when s > 1;
+    # on ties both return s*a, the value np.where(a > 0, a, s*a) gives
+    scaled = slope.data * a.data
+    pick = np.maximum if slope.data <= 1 else np.minimum
+    return _from_op(pick(a.data, scaled, out=scaled), (a, slope), bwd)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+def attention(q, k, v, scale: float):
+    """Scaled dot-product attention over the last two axes as one node.
+
+    q (..., Tq, d), k (..., Tk, d), v (..., Tk, dv) with equal leading
+    axes. Returns the context (..., Tq, dv) and the attention weights
+    (..., Tq, Tk) as a Tensor outside the graph; the weights' rows sum to
+    one. The softmax runs in place on the one score buffer the node owns.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.data.ndim < 2 or q.data.ndim != k.data.ndim or k.data.ndim != v.data.ndim:
+        raise ShapeError("attention operands must share ndim >= 2")
+    if (q.data.shape[:-2] != k.data.shape[:-2] or k.data.shape[:-1] != v.data.shape[:-1]
+            or q.data.shape[-1] != k.data.shape[-1]):
+        raise ShapeError(
+            f"attention shapes do not match: q {q.data.shape}, k {k.data.shape}, "
+            f"v {v.data.shape}"
+        )
+    probs = q.data @ np.swapaxes(k.data, -1, -2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, out_data * (g - inner))
+        if v.requires_grad:
+            _accum(v, np.swapaxes(probs, -1, -2) @ g)
+        if q.requires_grad or k.requires_grad:
+            # softmax backward on d(probs), in place
+            gs = g @ np.swapaxes(v.data, -1, -2)
+            gs -= (gs * probs).sum(axis=-1, keepdims=True)
+            gs *= probs
+            gs *= scale
+            if q.requires_grad:
+                _accum(q, gs @ k.data)
+            if k.requires_grad:
+                _accum(k, np.swapaxes(gs, -1, -2) @ q.data)
 
-    return _from_op(out_data, (a,), bwd)
+    out = _from_op(probs @ v.data, (q, k, v), bwd)
+    return out, Tensor(probs)
 
 
 # -- linear map -----------------------------------------------------------
@@ -472,22 +486,32 @@ def linear(x, weight, bias=None) -> Tensor:
     x, weight = _wrap(x), _wrap(weight)
     if weight.data.ndim != 2:
         raise ShapeError("linear weight must be 2-D")
-    if x.data.shape[-1] != weight.data.shape[0]:
+    n_in, n_out = weight.data.shape
+    if x.data.shape[-1] != n_in:
         raise ShapeError(
-            f"linear input width {x.data.shape[-1]} != weight rows "
-            f"{weight.data.shape[0]}"
+            f"linear input width {x.data.shape[-1]} != weight rows {n_in}"
         )
-    lead = x.data.shape[:-1]
-    flat = x.reshape((-1, x.data.shape[-1])) if x.data.ndim != 2 else x
-    out = matmul(flat, weight)
-    if x.data.ndim != 2:
-        out = out.reshape(lead + (weight.data.shape[1],))
+    parents = (x, weight)
     if bias is not None:
         bias = _wrap(bias)
-        if bias.data.shape != (weight.data.shape[1],):
+        if bias.data.shape != (n_out,):
             raise ShapeError("linear bias shape must be (out_features,)")
-        out = add(out, bias)
-    return out
+        parents += (bias,)
+    flat = x.data.reshape((-1, n_in))
+    out = flat @ weight.data
+    if bias is not None:
+        out += bias.data
+
+    def bwd(g):
+        g2 = g.reshape((-1, n_out))
+        if x.requires_grad:
+            _accum(x, (g2 @ weight.data.T).reshape(x.data.shape))
+        if weight.requires_grad:
+            _accum(weight, flat.T @ g2)
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
+
+    return _from_op(out.reshape(x.data.shape[:-1] + (n_out,)), parents, bwd)
 
 
 # -- 1-D convolutions -----------------------------------------------------
@@ -599,10 +623,25 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     width = x.data.shape[-1]
     if gamma.data.shape != (width,) or beta.data.shape != (width,):
         raise ShapeError("layer_norm gamma/beta must match the last axis")
-    centered = sub(x, tmean(x, axis=-1, keepdims=True))
-    variance = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(variance, eps)))
-    return add(mul(normed, gamma), beta)
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+    normed /= std
+    out = normed * gamma.data
+    out += beta.data
+
+    def bwd(g):
+        _accum(gamma, _unbroadcast(g * normed, gamma.data.shape))
+        _accum(beta, _unbroadcast(g, beta.data.shape))
+        if x.requires_grad:
+            # dx = (dn - mean(dn) - normed * mean(dn * normed)) / std
+            dn = g * gamma.data
+            along = (dn * normed).mean(axis=-1, keepdims=True)
+            dn -= dn.mean(axis=-1, keepdims=True)
+            dn -= normed * along
+            dn /= std
+            _accum(x, dn)
+
+    return _from_op(out, (x, gamma, beta), bwd)
 
 
 LOG10_SCALE = 10.0 / math.log(10.0)

@@ -22,7 +22,7 @@ from .checkpoint import load_checkpoint, load_model_state, load_separator, \
 from .config import EvalSettings, ModelConfig, SyntheticSpec, config_hash, \
     eval_settings_from_flat, model_config_from_flat, model_config_to_flat, \
     serialize_flat, synthetic_spec_from_flat, train_settings_from_flat
-from .metrics import sdri, si_snri, upit_loss
+from .metrics import improvements, upit_loss
 from .model import Separator
 from .nn import unique_named
 from .optim import Adam
@@ -261,8 +261,9 @@ def eval_model(model: Separator, spec: SyntheticSpec,
             n = ests[0].shape[0]
             est_arrs = [e.data for e in ests]
             targets = [s[:n] for s in sources]
-            snri_vals.append(si_snri(est_arrs, targets, mix[:n]))
-            sdri_vals.append(sdri(est_arrs, targets, mix[:n]))
+            snri, sdri = improvements(est_arrs, targets, mix[:n])
+            snri_vals.append(snri)
+            sdri_vals.append(sdri)
     return EvalResult(
         count=settings.count,
         si_snri_mean=float(np.mean(snri_vals)),

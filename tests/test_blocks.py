@@ -112,6 +112,24 @@ class TestHybridLayer:
         out = layer(Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32)))
         assert np.all(np.isfinite(out.data))
 
+    def test_forward_node_count(self, rng, monkeypatch):
+        # one node per fused op. Attention path: 3 projections, 3 head splits
+        # of a reshape and a transpose each, attention, a transpose and a
+        # reshape to merge heads, the output projection, residual add and
+        # norm (15). Conv path: transpose, depthwise, transpose, pointwise,
+        # add, norm (6). Split (2 takes), concat, then linear, relu, linear,
+        # add, norm (5).
+        nodes = []
+        original = T._from_op
+
+        def counting(data, parents, backward):
+            nodes.append(backward.__qualname__.split(".", 1)[0])
+            return original(data, parents, backward)
+
+        monkeypatch.setattr(T, "_from_op", counting)
+        make_layer()(Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32)))
+        assert len(nodes) == 29, nodes
+
     def test_published_layer_counts(self):
         # mid-size layer: 4 * 128^2 attention weights, 51*128 + 128^2 conv
         layer = make_layer(path_cfg(256, 128, 128, heads=8, kernel=51, ffn=1024),

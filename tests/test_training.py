@@ -7,6 +7,7 @@ from conftest import smoke_entries, tiny_model_config, two_sine_spec
 from casep.checkpoint import load_checkpoint, model_state
 from casep.config import parse_flat
 from casep.model import Separator
+from casep.nn import MultiHeadAttention
 from casep.tensor import ConfigError
 from casep.training import (
     AttentionSelector,
@@ -213,6 +214,30 @@ class TestDumpAttention:
         grid = np.loadtxt(out)
         assert grid.shape[0] == grid.shape[1]
         assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-5)
+
+    def test_dump_equals_unfused_softmax(self, setup, monkeypatch):
+        ckpt, wav_path, tmp_path = setup
+        inputs = []
+        original = MultiHeadAttention.__call__
+
+        def spy(mha, x):
+            inputs.append((mha, x.data.copy()))
+            return original(mha, x)
+
+        monkeypatch.setattr(MultiHeadAttention, "__call__", spy)
+        grid = np.loadtxt(dump_attention_run(ckpt, wav_path, "0:intra:0:1",
+                                             str(tmp_path / "maps")))
+        mha, x = inputs[0]     # the first layer run is block 0, intra 0
+
+        def heads(w):
+            z = (x @ w.data).reshape(x.shape[:-1] + (mha.heads, mha.head_dim))
+            return np.swapaxes(z, -2, -3)
+
+        scores = heads(mha.wq) @ np.swapaxes(heads(mha.wk), -1, -2) * mha.scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-6)
+        assert np.abs(grid - probs[:, 1].mean(axis=0)).max() < 1e-6
 
     def test_map_extents_follow_layout(self, setup):
         # within-chunk maps span the chunk size, across-chunk maps the count
