@@ -8,7 +8,7 @@ and compare the result with a derivative worked out by hand.
 
 import numpy as np
 
-from casep.tensor import Tensor, conv1d, conv1d_transposed
+from casep.tensor import Tensor, frames, overlap_sum
 
 # y = sum(w * x + b) with w = [1, 2, 3]
 w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
@@ -22,16 +22,22 @@ print("value          ", y.item())
 print("dy/dw (== x)   ", w.grad)
 print("dy/db (== ones)", b.grad)
 
-# The same machinery differentiates through convolution. The transposed
-# convolution is the exact adjoint, so these two inner products agree to
-# machine precision.
+# The same machinery differentiates through framing, the op the encoder,
+# the decoder and the chunking stage are built on. frames cuts a signal
+# into strided windows (zeros past the end); overlap_sum adds windows back
+# at their offsets. Each is the other's adjoint, so these two inner
+# products agree to machine precision, and each is the other's backward.
 rng = np.random.default_rng(0)
-kernel = rng.standard_normal((2, 3, 4))
-signal = Tensor(rng.standard_normal((3, 16)))
-probe = Tensor(rng.standard_normal((2, 7)))
+signal = Tensor(rng.standard_normal((16, 3)), requires_grad=True)
+probe = rng.standard_normal((7, 4, 3))       # 7 windows of 4 rows, hop 2
 
-forward = (conv1d(signal, Tensor(kernel), stride=2) * probe).sum().item()
-adjoint = (signal * conv1d_transposed(probe, Tensor(kernel), stride=2)).sum().item()
-print("conv inner product     ", forward)
-print("transposed-conv product", adjoint)
-print("difference             ", abs(forward - adjoint))
+windows = frames(signal, size=4, hop=2, count=7)
+forward = (windows * Tensor(probe)).sum()
+adjoint = (signal * overlap_sum(Tensor(probe), hop=2, length=16)).sum().item()
+print("framed inner product      ", forward.item())
+print("overlap-summed product    ", adjoint)
+print("difference                ", abs(forward.item() - adjoint))
+
+forward.backward()
+print("grad == overlap_sum(probe)",
+      np.array_equal(signal.grad, overlap_sum(Tensor(probe), 2, 16).data))

@@ -49,8 +49,8 @@ class AttentionRecorder:
     def __init__(self):
         self.maps: dict[tuple[int, str, int], np.ndarray] = {}
 
-    def add(self, block: int, net: str, iteration: int, attn: Tensor) -> None:
-        self.maps[(block, net, iteration)] = np.array(attn.data)
+    def add(self, block: int, net: str, iteration: int, attn: np.ndarray) -> None:
+        self.maps[(block, net, iteration)] = attn
 
 
 class HybridLayer(Module):

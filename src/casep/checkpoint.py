@@ -14,6 +14,7 @@ original config file. Optimizer state rides along under reserved
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -98,7 +99,7 @@ def load_checkpoint(path):
         name = r.text("tensor name")
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)   # Python ints: np.prod of huge extents wraps
         data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
         tensors[name] = data.copy()
     if r.pos != len(r.blob):

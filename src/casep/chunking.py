@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, ContractError, ShapeError, Tensor, _accum, _from_op
+from .tensor import ConfigError, ContractError, ShapeError, Tensor, _accum, \
+    _frames, _from_op, _overlap_sum
 
 
 @dataclass
@@ -56,31 +57,14 @@ def segment(x: Tensor, size: int) -> ChunkTensor:
     if x.data.ndim != 2:
         raise ShapeError(f"segment expects (frames, channels), got {x.shape}")
     hop = size // 2
-    n_frames, channels = x.shape
-    t_pad = padded_length(n_frames, size)
-    n_chunks = (t_pad - size) // hop + 1
-
-    xp = np.zeros((t_pad, channels), dtype=x.data.dtype)
-    xp[:n_frames] = x.data
-    out_data = np.stack(
-        [xp[c * hop : c * hop + size] for c in range(n_chunks)]
-    )
+    n_frames = x.shape[0]
+    n_chunks = (padded_length(n_frames, size) - size) // hop + 1
 
     def bwd(g):
-        gxp = np.zeros((t_pad, channels), dtype=g.dtype)
-        for c in range(n_chunks):
-            gxp[c * hop : c * hop + size] += g[c]
-        _accum(x, gxp[:n_frames])
+        _accum(x, _overlap_sum(g, hop, n_frames))
 
-    return ChunkTensor(_from_op(out_data, (x,), bwd), hop, n_frames)
-
-
-def _coverage(n_chunks: int, size: int, hop: int) -> np.ndarray:
-    t_pad = (n_chunks - 1) * hop + size
-    counts = np.zeros(t_pad)
-    for c in range(n_chunks):
-        counts[c * hop : c * hop + size] += 1.0
-    return counts
+    out = _from_op(_frames(x.data, size, hop, n_chunks), (x,), bwd)
+    return ChunkTensor(out, hop, n_frames)
 
 
 def overlap_add(chunks: ChunkTensor) -> Tensor:
@@ -90,7 +74,7 @@ def overlap_add(chunks: ChunkTensor) -> Tensor:
     x = chunks.data
     if x.data.ndim != 3:
         raise ShapeError(f"overlap_add expects (chunks, size, channels), got {x.shape}")
-    n_chunks, size, channels = x.shape
+    n_chunks, size, _ = x.shape
     hop = chunks.hop
     n_frames = chunks.original_length
     t_pad = (n_chunks - 1) * hop + size
@@ -98,20 +82,10 @@ def overlap_add(chunks: ChunkTensor) -> Tensor:
         raise ContractError(
             f"original length {n_frames} exceeds chunk span {t_pad}"
         )
-    counts = _coverage(n_chunks, size, hop).astype(x.data.dtype)
-
-    acc = np.zeros((t_pad, channels), dtype=x.data.dtype)
-    for c in range(n_chunks):
-        acc[c * hop : c * hop + size] += x.data[c]
-    out_data = (acc / counts[:, None])[:n_frames]
+    ones = np.ones((n_chunks, size, 1), dtype=x.data.dtype)
+    counts = _overlap_sum(ones, hop, n_frames)        # (n_frames, 1): 1 or 2
 
     def bwd(g):
-        gp = np.zeros((t_pad, channels), dtype=g.dtype)
-        gp[:n_frames] = g
-        gp /= counts[:, None]
-        _accum(
-            x,
-            np.stack([gp[c * hop : c * hop + size] for c in range(n_chunks)]),
-        )
+        _accum(x, _frames(g / counts, size, hop, n_chunks))
 
-    return _from_op(out_data, (x,), bwd)
+    return _from_op(_overlap_sum(x.data, hop, n_frames) / counts, (x,), bwd)

@@ -15,7 +15,7 @@ from .analyzer import format_param_report, model_param_report, param_report_kv
 from .config import model_config_from_flat, parse_flat, serialize_flat, \
     synthetic_spec_from_flat
 from .model import Separator
-from .tensor import ConfigError, ShapeError
+from .tensor import ConfigError, NonFiniteError, ShapeError
 from .training import dump_attention_run, eval_run, grad_check_report, \
     grad_check_run, separate_files, train_run
 from .wavio import WavFormatError
@@ -129,7 +129,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ShapeError, WavFormatError, RuntimeError, OSError) as exc:
+    except (ConfigError, ShapeError, WavFormatError, NonFiniteError, RuntimeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

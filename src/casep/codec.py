@@ -3,7 +3,8 @@
 The encoder is a bias-free strided 1-D convolution followed by ReLU, so a
 zero waveform maps to an exactly zero latent. The decoder multiplies a
 non-negative mask into the latent and runs the matching transposed
-convolution (same kernel length and stride), also bias-free.
+convolution (same kernel length and stride), also bias-free. Both run on
+``frames`` and its adjoint ``overlap_sum``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class EncoderConfig:
 
 
 class Encoder(Module):
-    """Strided conv + ReLU producing (latent_frames, filters)."""
+    """Strided windows x filter bank + ReLU producing (latent_frames, filters)."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         super().__init__()
@@ -72,14 +73,15 @@ class Encoder(Module):
     def __call__(self, samples: Tensor) -> Tensor:
         if samples.data.ndim != 1:
             raise ShapeError("encoder input must be a 1-D sample vector")
-        self.cfg.latent_frames(samples.shape[0])  # raises if too short
-        x = samples.reshape((1, samples.shape[0]))
-        latent = T.conv1d(x, self.kernels, self.cfg.stride)
-        return T.relu(latent).transpose((1, 0))
+        cfg = self.cfg
+        count = cfg.latent_frames(samples.shape[0])  # raises if too short
+        windows = T.frames(samples, cfg.kernel, cfg.stride, count)
+        kernels = self.kernels.reshape((cfg.filters, cfg.kernel))
+        return T.relu(windows @ kernels.transpose((1, 0)))
 
 
 class Decoder(Module):
-    """Mask application followed by a transposed conv back to samples."""
+    """Mask application, then windows overlap-added back to samples."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         super().__init__()
@@ -94,9 +96,10 @@ class Decoder(Module):
             raise ShapeError(
                 f"mask shape {mask.shape} must match latent {latent.shape}"
             )
-        masked = T.mul(mask, latent).transpose((1, 0))
-        out = T.conv1d_transposed(masked, self.kernels, self.cfg.stride)
-        return out.reshape((out.shape[1],))
+        cfg = self.cfg
+        kernels = self.kernels.reshape((cfg.filters, cfg.kernel))
+        pieces = T.mul(mask, latent) @ kernels           # (latent_frames, kernel)
+        return T.overlap_sum(pieces, cfg.stride, self.output_length(mask.shape[0]))
 
     def output_length(self, latent_frames: int) -> int:
         return (latent_frames - 1) * self.cfg.stride + self.cfg.kernel

@@ -442,8 +442,10 @@ def attention(q, k, v, scale: float):
 
     q (..., Tq, d), k (..., Tk, d), v (..., Tk, dv) with equal leading
     axes. Returns the context (..., Tq, dv) and the attention weights
-    (..., Tq, Tk) as a Tensor outside the graph; the weights' rows sum to
-    one. The softmax runs in place on the one score buffer the node owns.
+    (..., Tq, Tk) as a plain array outside the graph; the weights' rows sum
+    to one. The softmax runs in place on the one score buffer the node owns.
+    The context node's finiteness check covers the weights too: a NaN or
+    Inf in the scores reaches the context through the max-shift.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.data.ndim < 2 or q.data.ndim != k.data.ndim or k.data.ndim != v.data.ndim:
@@ -474,8 +476,7 @@ def attention(q, k, v, scale: float):
             if k.requires_grad:
                 _accum(k, np.swapaxes(gs, -1, -2) @ q.data)
 
-    out = _from_op(probs @ v.data, (q, k, v), bwd)
-    return out, Tensor(probs)
+    return _from_op(probs @ v.data, (q, k, v), bwd), probs
 
 
 # -- linear map -----------------------------------------------------------
@@ -514,70 +515,68 @@ def linear(x, weight, bias=None) -> Tensor:
     return _from_op(out.reshape(x.data.shape[:-1] + (n_out,)), parents, bwd)
 
 
-# -- 1-D convolutions -----------------------------------------------------
+# -- framing --------------------------------------------------------------
 
 
-def conv1d(x, kernels, stride: int) -> Tensor:
-    """Valid strided cross-correlation: (C_in, T) -> (C_out, T_out)."""
-    x, kernels = _wrap(x), _wrap(kernels)
-    if stride < 1:
-        raise ConfigError("conv1d stride must be positive")
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError("conv1d expects x (C_in, T) and kernels (C_out, C_in, L)")
-    c_in, t = x.data.shape
-    c_out, kc_in, length = kernels.data.shape
-    if kc_in != c_in:
-        raise ShapeError(f"kernel input channels {kc_in} != {c_in}")
-    if t < length:
-        raise ShapeError(
-            f"input length {t} shorter than kernel {length}; need at least {length}"
+def _frames(x: np.ndarray, size: int, hop: int, count: int) -> np.ndarray:
+    """Windows ``x[i*hop : i*hop+size]`` along axis 0 for ``i < count`` as
+    (count, size, ...); rows past the end of ``x`` read as zero. The
+    adjoint of ``_overlap_sum``."""
+    span = (count - 1) * hop + size
+    if x.shape[0] < span:
+        pad = np.zeros((span - x.shape[0],) + x.shape[1:], dtype=x.dtype)
+        x = np.concatenate([x, pad])
+    win = sliding_window_view(x[:span], size, axis=0)[::hop]  # (count, ..., size)
+    return np.ascontiguousarray(np.moveaxis(win, -1, 1))
+
+
+def _overlap_sum(f: np.ndarray, hop: int, length: int) -> np.ndarray:
+    """Add frame ``i`` of f (count, size, ...) at row ``i*hop``, then cut or
+    zero-extend to ``length`` rows. The adjoint of ``_frames``; it loops
+    over the ceil(size/hop) hop-long phases of a frame, not over frames."""
+    count, size = f.shape[:2]
+    phases = -(-size // hop)
+    blocks = max(count - 1 + phases, -(-length // hop))
+    out = np.zeros((blocks, hop) + f.shape[2:], dtype=f.dtype)
+    for j in range(phases):
+        width = min(hop, size - j * hop)
+        out[j : j + count, :width] += f[:, j * hop : j * hop + width]
+    return out.reshape((blocks * hop,) + f.shape[2:])[:length]
+
+
+def frames(x, size: int, hop: int, count: int) -> Tensor:
+    """(n, ...) -> (count, size, ...): ``size`` rows every ``hop`` rows,
+    zero past the end of ``x``."""
+    x = _wrap(x)
+    if size < 1 or hop < 1 or count < 1:
+        raise ConfigError(
+            f"frames needs positive size, hop and count, got {size}, {hop}, {count}"
         )
-    win = sliding_window_view(x.data, length, axis=-1)[:, ::stride, :]
-    t_out = win.shape[1]
-    out_data = np.einsum("oil,itl->ot", kernels.data, win)
+    if x.data.ndim < 1:
+        raise ShapeError("frames expects at least one axis")
+    n = x.data.shape[0]
 
     def bwd(g):
-        if kernels.requires_grad:
-            _accum(kernels, np.einsum("ot,itl->oil", g, win))
-        if x.requires_grad:
-            tmp = np.einsum("ot,oil->itl", g, kernels.data)
-            gx = np.zeros_like(x.data)
-            span = (t_out - 1) * stride + 1
-            for off in range(length):
-                gx[:, off : off + span : stride] += tmp[:, :, off]
-            _accum(x, gx)
+        _accum(x, _overlap_sum(g, hop, n))
 
-    return _from_op(out_data, (x, kernels), bwd)
+    return _from_op(_frames(x.data, size, hop, count), (x,), bwd)
 
 
-def conv1d_transposed(x, kernels, stride: int) -> Tensor:
-    """Adjoint of conv1d: (C_in, T) -> (C_out, (T-1)*stride + L)."""
-    x, kernels = _wrap(x), _wrap(kernels)
-    if stride < 1:
-        raise ConfigError("transposed conv stride must be positive")
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError(
-            "conv1d_transposed expects x (C_in, T) and kernels (C_in, C_out, L)"
+def overlap_sum(f, hop: int, length: int) -> Tensor:
+    """(count, size, ...) -> (length, ...): the adjoint of ``frames``."""
+    f = _wrap(f)
+    if hop < 1 or length < 0:
+        raise ConfigError(
+            f"overlap_sum needs hop >= 1 and length >= 0, got {hop}, {length}"
         )
-    c_in, t = x.data.shape
-    kc_in, c_out, length = kernels.data.shape
-    if kc_in != c_in:
-        raise ShapeError(f"kernel input channels {kc_in} != {c_in}")
-    t_out = (t - 1) * stride + length
-    tmp = np.einsum("it,iol->otl", x.data, kernels.data)
-    out_data = np.zeros((c_out, t_out), dtype=x.data.dtype)
-    span = (t - 1) * stride + 1
-    for off in range(length):
-        out_data[:, off : off + span : stride] += tmp[:, :, off]
+    if f.data.ndim < 2:
+        raise ShapeError(f"overlap_sum expects (count, size, ...), got {f.data.shape}")
+    count, size = f.data.shape[:2]
 
     def bwd(g):
-        gw = sliding_window_view(g, length, axis=-1)[:, ::stride, :]
-        if x.requires_grad:
-            _accum(x, np.einsum("otl,iol->it", gw, kernels.data))
-        if kernels.requires_grad:
-            _accum(kernels, np.einsum("it,otl->iol", x.data, gw))
+        _accum(f, _frames(g, size, hop, count))
 
-    return _from_op(out_data, (x, kernels), bwd)
+    return _from_op(_overlap_sum(f.data, hop, length), (f,), bwd)
 
 
 def depthwise_conv1d(x, kernels) -> Tensor:

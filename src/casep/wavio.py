@@ -26,14 +26,19 @@ def read_wav(path) -> Waveform:
             rate = f.getframerate()
             n = f.getnframes()
             raw = f.readframes(n)
-    except wave.Error as exc:
-        raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # the wave module raises EOFError for a file cut short in its header
+        # and RuntimeError when a chunk size points outside its chunk
+        reason = str(exc) or "damaged or truncated header"
+        raise WavFormatError(f"{path}: not a readable WAV file ({reason})") from exc
     if comp != "NONE":
         raise WavFormatError(f"{path}: compression type {comp!r}, need NONE (PCM)")
     if channels != 1:
         raise WavFormatError(f"{path}: {channels} channels, need mono")
     if width != 2:
         raise WavFormatError(f"{path}: sample width {width} bytes, need 2 (16-bit)")
+    if len(raw) % 2:
+        raise WavFormatError(f"{path}: data chunk ends inside a sample")
     ints = np.frombuffer(raw, dtype="<i2")
     return Waveform(ints.astype(np.float64) / 32768.0, rate)
 

@@ -55,7 +55,7 @@ class TestAttentionPath:
         layer = make_layer()
         ha = Tensor(rng.standard_normal((2, 1, 4)).astype(np.float32))
         out, weights = layer.attention_path(ha)
-        assert np.allclose(weights.data, 1.0)
+        assert np.allclose(weights, 1.0)
         proj = (ha.data @ layer.attn.wv.data) @ layer.attn.wo.data
         expected = layer.attn_norm(Tensor(proj + ha.data))
         assert np.allclose(out.data, expected.data, atol=1e-6)

@@ -139,6 +139,17 @@ class TestErrorPaths:
         with pytest.raises(ConfigError, match="truncated"):
             load_checkpoint(ckpt_path)
 
+    def test_extents_that_wrap_int64_are_truncated(self, ckpt_path):
+        # 2^31 cubed is 2^93, which an int64 product wraps to 0
+        save_checkpoint(ckpt_path, tiny_model_config(), {"wrap": np.zeros((1, 1, 1))})
+        blob = bytearray(ckpt_path.read_bytes())
+        at = blob.index(b"wrap") + 4
+        assert struct.unpack("<I", blob[at : at + 4])[0] == 3
+        blob[at + 4 : at + 16] = struct.pack("<3I", *(3 * [2**31]))
+        ckpt_path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="truncated checkpoint file"):
+            load_checkpoint(ckpt_path)
+
     def test_trailing_bytes(self, ckpt_path):
         save_checkpoint(ckpt_path, tiny_model_config(), {})
         ckpt_path.write_bytes(ckpt_path.read_bytes() + b"junk")

@@ -1,10 +1,12 @@
 """Command-line entry points, driven through main(argv)."""
 
+import struct
+
 import numpy as np
 import pytest
 from conftest import SMOKE_CONFIG_TEXT, two_sine_spec
 
-from casep.checkpoint import model_state, save_checkpoint
+from casep.checkpoint import load_checkpoint, model_state, save_checkpoint
 from casep.cli import main
 from casep.codec import Waveform
 from casep.config import model_config_from_flat, parse_flat
@@ -94,6 +96,36 @@ class TestSeparate:
         code = main(["separate", str(trained), str(mixture_wav),
                      str(tmp_path / "sep")])
         assert "checkpoint config is not UTF-8" in assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("cut", [20, -1], ids=["inside_header", "odd_data"])
+    def test_truncated_wav_is_a_cli_error(self, trained, mixture_wav, tmp_path,
+                                          capsys, cut):
+        blob = mixture_wav.read_bytes()
+        mixture_wav.write_bytes(blob[:cut])
+        code = main(["separate", str(trained), str(mixture_wav),
+                     str(tmp_path / "sep")])
+        assert "mix.wav" in assert_one_line_error(code, capsys)
+
+    def test_wrapping_extents_are_a_cli_error(self, trained, mixture_wav,
+                                              tmp_path, capsys):
+        cfg, _, _ = load_checkpoint(trained)
+        save_checkpoint(trained, cfg, {"wrap": np.zeros((1, 1, 1))})
+        blob = bytearray(trained.read_bytes())
+        at = blob.index(b"wrap") + 8
+        blob[at : at + 12] = struct.pack("<3I", *(3 * [2**31]))
+        trained.write_bytes(bytes(blob))
+        code = main(["separate", str(trained), str(mixture_wav),
+                     str(tmp_path / "sep")])
+        assert "truncated checkpoint" in assert_one_line_error(code, capsys)
+
+    def test_nan_weight_is_a_cli_error(self, trained, mixture_wav, tmp_path,
+                                       capsys):
+        cfg, _, tensors = load_checkpoint(trained)
+        tensors["encoder.kernels"][0, 0, 0] = np.nan
+        save_checkpoint(trained, cfg, tensors)
+        code = main(["separate", str(trained), str(mixture_wav),
+                     str(tmp_path / "sep")])
+        assert "non-finite" in assert_one_line_error(code, capsys)
 
     def test_bad_wav_is_a_cli_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.wav"

@@ -143,14 +143,14 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(16, 4, np.random.default_rng(0))
         _, attn = mha(Tensor(np.random.default_rng(3)
                              .standard_normal((2, 7, 16)).astype(np.float32)))
-        assert np.all(attn.data >= 0.0)
-        assert np.allclose(attn.data.sum(axis=-1), 1.0, atol=1e-5)
+        assert np.all(attn >= 0.0)
+        assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_length_one_attends_to_itself(self):
         mha = MultiHeadAttention(8, 2, np.random.default_rng(0))
         _, attn = mha(Tensor(np.random.default_rng(4)
                              .standard_normal((1, 8)).astype(np.float32)))
-        assert np.allclose(attn.data, 1.0)
+        assert np.allclose(attn, 1.0)
 
     def test_no_projection_biases(self):
         mha = MultiHeadAttention(8, 2, np.random.default_rng(0))

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 from conftest import fd_check
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casep.tensor as T
+from casep.codec import Encoder, EncoderConfig
 from casep.tensor import (
     ConfigError,
     ContractError,
@@ -160,63 +163,102 @@ class TestLinear:
 
 
 class TestConv1d:
+    """The encoder's strided cross-correlation: frames(x) @ kernels.T."""
+
     def test_identity_kernel(self):
-        out = T.conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]),
-                       Tensor([[[1.0]]]), stride=1)
-        assert np.array_equal(out.data, [[1.0, 2.0, 3.0, 4.0]])
+        x = Tensor([1.0, 2.0, 3.0, 4.0])
+        out = T.frames(x, 1, 1, 4) @ Tensor([[1.0]])
+        assert np.array_equal(out.data, [[1.0], [2.0], [3.0], [4.0]])
 
     def test_hand_convolution(self):
         # hand oracle: window sums of [1,2,3,4] with kernel [1,1]
-        x = Tensor([[1.0, 2.0, 3.0, 4.0]])
-        k = Tensor([[[1.0, 1.0]]])
-        assert np.array_equal(T.conv1d(x, k, 1).data, [[3.0, 5.0, 7.0]])
-        assert np.array_equal(T.conv1d(x, k, 2).data, [[3.0, 7.0]])
+        x = Tensor([1.0, 2.0, 3.0, 4.0])
+        k = Tensor([[1.0], [1.0]])
+        assert np.array_equal((T.frames(x, 2, 1, 3) @ k).data, [[3.0], [5.0], [7.0]])
+        assert np.array_equal((T.frames(x, 2, 2, 2) @ k).data, [[3.0], [7.0]])
 
-    def test_cross_correlation_no_flip(self):
-        x = Tensor([[1.0, 0.0, 0.0]])
-        k = Tensor([[[1.0, 2.0]]])
+    def test_cross_correlation_no_flip(self, rng):
+        enc = Encoder(EncoderConfig(filters=1, kernel=2, stride=1), rng)
+        enc.kernels.data[:] = [[[1.0, 2.0]]]
         # y[0] = x[0]*k[0] + x[1]*k[1]: no kernel reversal
-        assert np.array_equal(T.conv1d(x, k, 1).data, [[1.0, 0.0]])
+        out = enc(Tensor(np.array([1.0, 0.0, 0.0], dtype=np.float32)))
+        assert np.array_equal(out.data, [[1.0], [0.0]])
 
-    def test_too_short_input(self):
+    def test_too_short_input(self, rng):
+        enc = Encoder(EncoderConfig(filters=1, kernel=2, stride=1), rng)
         with pytest.raises(ShapeError, match="at least"):
-            T.conv1d(Tensor([[1.0]]), Tensor([[[1.0, 1.0]]]), 1)
+            enc(Tensor(np.array([1.0], dtype=np.float32)))
 
     def test_gradients(self):
+        # the last two windows run past the end of x and read zeros there
         rng = np.random.default_rng(10)
-        fd_check(lambda x, k: T.conv1d(x, k, 2),
-                 [rng.standard_normal((3, 11)), rng.standard_normal((4, 3, 4))])
+        fd_check(lambda x, k: T.frames(x, 4, 2, 6) @ k,
+                 [rng.standard_normal(11), rng.standard_normal((4, 3))])
+        fd_check(lambda x: T.frames(x, 4, 2, 6), [rng.standard_normal((11, 3))])
 
 
 class TestConv1dTransposed:
+    """Its adjoint, the decoder's transposed conv: overlap_sum(y @ kernels)."""
+
     def test_single_frame_spread(self):
-        out = T.conv1d_transposed(Tensor([[1.0]]), Tensor([[[1.0, 1.0]]]), 1)
-        assert np.array_equal(out.data, [[1.0, 1.0]])
+        out = T.overlap_sum(Tensor([[1.0, 1.0]]), 1, 2)
+        assert np.array_equal(out.data, [1.0, 1.0])
 
     def test_hand_adjoint(self):
-        out = T.conv1d_transposed(Tensor([[1.0, 1.0]]), Tensor([[[1.0, 1.0]]]), 2)
-        assert np.array_equal(out.data, [[1.0, 1.0, 1.0, 1.0]])
+        out = T.overlap_sum(Tensor([[1.0, 1.0], [1.0, 1.0]]), 2, 4)
+        assert np.array_equal(out.data, [1.0, 1.0, 1.0, 1.0])
 
     def test_nonpositive_stride(self):
         with pytest.raises(ConfigError):
-            T.conv1d_transposed(Tensor([[1.0]]), Tensor([[[1.0]]]), 0)
+            T.overlap_sum(Tensor([[1.0]]), 0, 1)
+        with pytest.raises(ConfigError):
+            T.frames(Tensor([1.0]), 1, 0, 1)
 
     def test_adjoint_identity(self):
-        # <conv(x), y> == <x, conv_T(y)> for random double tensors
+        # <conv(x), y> == <x, conv_T(y)> with the one kernel bank
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 8))
-        k = rng.standard_normal((3, 2, 4))       # (C_out, C_in, L)
-        y_len = (8 - 4) // 2 + 1
-        y = rng.standard_normal((3, y_len))
-        fwd = T.conv1d(Tensor(x), Tensor(k), 2).data
-        # same array reads as (C_in, C_out, L) for the reverse direction
-        bwd = T.conv1d_transposed(Tensor(y), Tensor(k), 2).data
+        x = rng.standard_normal(8)
+        k = rng.standard_normal((3, 4))          # (filters, kernel)
+        y = rng.standard_normal(((8 - 4) // 2 + 1, 3))
+        fwd = (T.frames(Tensor(x), 4, 2, 3) @ Tensor(k.T)).data
+        bwd = T.overlap_sum(Tensor(y) @ Tensor(k), 2, 8).data
         assert abs(np.sum(fwd * y) - np.sum(x * bwd)) < 1e-12
 
     def test_gradients(self):
+        # cut below the span (7 rows of 2*2 + 4 = 8) and zero-extended past it
         rng = np.random.default_rng(12)
-        fd_check(lambda x, k: T.conv1d_transposed(x, k, 2),
-                 [rng.standard_normal((3, 5)), rng.standard_normal((3, 2, 4))])
+        for length in (7, 11):
+            fd_check(lambda y, k: T.overlap_sum(y @ k, 2, length),
+                     [rng.standard_normal((3, 5)), rng.standard_normal((5, 4))])
+
+
+class TestFramingProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 12), size=st.integers(1, 6), hop=st.integers(1, 8),
+           count=st.integers(1, 8), length=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, n, size, hop, count, length, seed):
+        # <frames(x), y> == <x, overlap_sum(y)> for any geometry, including
+        # hop > size, windows past the end of x and lengths on both sides
+        # of the span; overlap_sum to n rows is the exact transpose
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 2))
+        y = rng.standard_normal((count, size, 2))
+        fwd = T._frames(x, size, hop, count)
+        assert abs(np.sum(fwd * y) - np.sum(x * T._overlap_sum(y, hop, n))) < 1e-12
+        # per-window loops as the reference
+        span = (count - 1) * hop + size
+        padded = np.concatenate([x, np.zeros((max(span - n, 0), 2))])
+        ref_frames = np.stack([padded[i * hop : i * hop + size] for i in range(count)])
+        assert np.array_equal(fwd, ref_frames)
+        ref_sum = np.zeros((max(span, n) + length, 2))
+        for i in range(count):
+            ref_sum[i * hop : i * hop + size] += y[i]
+        # the sum cut below or zero-extended past the span
+        for rows in (n, length, span + length):
+            got = T._overlap_sum(y, hop, rows)
+            assert got.shape == (rows, 2)
+            assert np.allclose(got, ref_sum[:rows], rtol=0, atol=1e-12)
 
 
 class TestDepthwiseConv1d:
@@ -337,7 +379,7 @@ class TestAttention:
         q = Tensor(np.zeros((2, 3, 4)))
         kv = Tensor(np.random.default_rng(24).standard_normal((2, 5, 4)))
         out, weights = T.attention(q, kv, kv, 0.5)
-        assert np.allclose(weights.data, 1.0 / 5.0)
+        assert np.allclose(weights, 1.0 / 5.0)
         assert np.allclose(out.data, kv.data.mean(axis=-2, keepdims=True))
 
     @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
@@ -346,10 +388,10 @@ class TestAttention:
         q, k, v = (rng.standard_normal((3, 2, 6, 4)).astype(dtype) for _ in range(3))
         out, weights = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5)
         assert out.dtype == dtype and weights.dtype == dtype
-        assert np.all(weights.data >= 0.0)
-        assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=atol)
+        assert np.all(weights >= 0.0)
+        assert np.allclose(weights.sum(axis=-1), 1.0, atol=atol)
         ref_out, ref_probs = unfused_attention(q, k, v, dtype(0.5))
-        assert np.allclose(weights.data, ref_probs, atol=atol)
+        assert np.allclose(weights, ref_probs, atol=atol)
         assert np.allclose(out.data, ref_out, atol=10 * atol)
 
     def test_shapes_checked(self):
@@ -360,6 +402,14 @@ class TestAttention:
             T.attention(a, Tensor(np.zeros((2, 3, 5))), a, 1.0)   # width differs
         with pytest.raises(ShapeError):
             T.attention(a, a, Tensor(np.zeros((2, 2, 4))), 1.0)   # length differs
+
+    def test_inf_score_raises_naming_attention(self):
+        # finite operands whose scores overflow to +Inf; the weights are a
+        # plain array, so the context node's check is the one that fires
+        big = Tensor(np.full((1, 2, 2), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="attention"):
+                T.attention(big, big, Tensor(np.ones((1, 2, 2))), 1.0)
 
     def test_gradients_with_leading_axes_and_heads(self):
         # (batch 2, heads 3, length 4, head width 2); keys longer than queries

@@ -66,3 +66,17 @@ class TestFormatErrors:
             f.writeframes(np.zeros(10, dtype="<i4").tobytes())
         with pytest.raises(WavFormatError, match="width"):
             read_wav(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.zeros(10), 8000))
+        path.write_bytes(path.read_bytes()[:20])     # inside the fmt chunk
+        with pytest.raises(WavFormatError, match="truncated header"):
+            read_wav(path)
+
+    def test_odd_data_byte_count_rejected(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        write_wav(path, Waveform(np.zeros(10), 8000))
+        path.write_bytes(path.read_bytes()[:-1])     # half of the last sample
+        with pytest.raises(WavFormatError, match="inside a sample"):
+            read_wav(path)
