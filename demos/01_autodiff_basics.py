@@ -23,10 +23,11 @@ print("dy/dw (== x)   ", w.grad)
 print("dy/db (== ones)", b.grad)
 
 # The same machinery differentiates through framing, the op the encoder,
-# the decoder and the chunking stage are built on. frames cuts a signal
-# into strided windows (zeros past the end); overlap_sum adds windows back
-# at their offsets. Each is the other's adjoint, so these two inner
-# products agree to machine precision, and each is the other's backward.
+# the decoder and the chunking stage are built on. frames cuts axis -2 of
+# a (..., rows, channels) signal into strided windows (zeros past the
+# end); overlap_sum adds windows back at their offsets. Each is the
+# other's adjoint, so these two inner products agree to machine
+# precision, and each is the other's backward.
 rng = np.random.default_rng(0)
 signal = Tensor(rng.standard_normal((16, 3)), requires_grad=True)
 probe = rng.standard_normal((7, 4, 3))       # 7 windows of 4 rows, hop 2

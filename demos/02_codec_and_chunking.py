@@ -27,10 +27,11 @@ with no_grad():
 print("latent grid    ", latent.shape, "(frames, filters)")
 
 # Chunking views the frame axis as overlapping windows; overlap-add with
-# count normalization undoes it exactly, including the zero padding.
+# count normalization undoes it exactly, including the zero padding, once
+# it is told the frame count to trim back to.
 chunks = segment(latent, size=50)
-print("chunked        ", chunks.data.shape, "(chunks, chunk, filters)")
-restored = overlap_add(chunks)
+print("chunked        ", chunks.shape, "(chunks, chunk, filters)")
+restored = overlap_add(chunks, latent.shape[0])
 print("round trip exact:", np.array_equal(restored.data, latent.data))
 
 # An all-ones mask passes the latent straight through the decoder. The

@@ -12,7 +12,7 @@ from .tensor import (
 )
 from .nn import Linear, LayerNorm, Module, MultiHeadAttention, Parameter, PReLU
 from .optim import Adam
-from .chunking import ChunkTensor, overlap_add, segment
+from .chunking import overlap_add, segment
 from .codec import Decoder, Encoder, EncoderConfig, Waveform
 from .blocks import AttentionRecorder, DualPathBlock, HybridLayer, channel_split
 from .config import (
@@ -51,7 +51,6 @@ from .training import (
 __all__ = [
     "Adam",
     "AttentionRecorder",
-    "ChunkTensor",
     "ConfigError",
     "ContractError",
     "Decoder",

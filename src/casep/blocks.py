@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .chunking import ChunkTensor
 from .config import PathConfig
 from .nn import (
     Linear,
@@ -54,7 +53,7 @@ class AttentionRecorder:
 
 
 class HybridLayer(Module):
-    """One attention-plus-conv layer; input and output are (B, T, D)."""
+    """One attention-plus-conv layer; input and output are (..., T, D)."""
 
     def __init__(self, cfg: PathConfig, rng, dtype=np.float32):
         super().__init__()
@@ -88,9 +87,9 @@ class HybridLayer(Module):
         return self.attn_norm(T.add(out, ha)), weights
 
     def conv_path(self, hc: Tensor) -> Tensor:
-        frames_last = hc.transpose((0, 2, 1))          # (B, C, T)
+        frames_last = T.swapaxes(hc, -2, -1)          # (..., C, T)
         dw = T.depthwise_conv1d(frames_last, self.depthwise)
-        mixed = self.pointwise(dw.transpose((0, 2, 1)))  # back to (B, T, C)
+        mixed = self.pointwise(T.swapaxes(dw, -2, -1))  # back to (..., T, C)
         return self.conv_norm(T.add(mixed, hc))
 
     def __call__(self, h: Tensor, record=None) -> Tensor:
@@ -144,19 +143,18 @@ class DualPathBlock(Module):
     def _layer(self, net, i):
         return net if self.shared else net[i]
 
-    def __call__(self, chunks: ChunkTensor, recorder: AttentionRecorder | None = None,
-                 block_index: int = 0) -> ChunkTensor:
-        h = chunks.data                      # (n_chunks, size, D)
+    def __call__(self, h: Tensor, recorder: AttentionRecorder | None = None,
+                 block_index: int = 0) -> Tensor:
+        """(..., n_chunks, size, D) -> the same shape."""
         for i in range(self.n_intra):
             record = None
             if recorder is not None:
                 record = lambda w, i=i: recorder.add(block_index, "intra", i, w)
             h = self._layer(self.intra, i)(h, record)
-        h = h.transpose((1, 0, 2))           # (size, n_chunks, D)
+        h = T.swapaxes(h, -3, -2)            # (..., size, n_chunks, D)
         for i in range(self.n_inter):
             record = None
             if recorder is not None:
                 record = lambda w, i=i: recorder.add(block_index, "inter", i, w)
             h = self._layer(self.inter, i)(h, record)
-        h = h.transpose((1, 0, 2))
-        return chunks.with_data(h)
+        return T.swapaxes(h, -3, -2)

@@ -60,7 +60,7 @@ class EncoderConfig:
 
 
 class Encoder(Module):
-    """Strided windows x filter bank + ReLU producing (latent_frames, filters)."""
+    """Strided windows x filter bank + ReLU: (..., n) -> (..., frames, filters)."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         super().__init__()
@@ -71,17 +71,16 @@ class Encoder(Module):
         )
 
     def __call__(self, samples: Tensor) -> Tensor:
-        if samples.data.ndim != 1:
-            raise ShapeError("encoder input must be a 1-D sample vector")
         cfg = self.cfg
-        count = cfg.latent_frames(samples.shape[0])  # raises if too short
-        windows = T.frames(samples, cfg.kernel, cfg.stride, count)
+        count = cfg.latent_frames(samples.shape[-1])  # raises if too short
+        windows = T.frames(samples.reshape(samples.shape + (1,)), cfg.kernel,
+                           cfg.stride, count)
         kernels = self.kernels.reshape((cfg.filters, cfg.kernel))
-        return T.relu(windows @ kernels.transpose((1, 0)))
+        return T.relu(windows.reshape(windows.shape[:-1]) @ kernels.transpose((1, 0)))
 
 
 class Decoder(Module):
-    """Mask application, then windows overlap-added back to samples."""
+    """Mask application, then windows overlap-added back to (..., n) samples."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         super().__init__()
@@ -98,8 +97,10 @@ class Decoder(Module):
             )
         cfg = self.cfg
         kernels = self.kernels.reshape((cfg.filters, cfg.kernel))
-        pieces = T.mul(mask, latent) @ kernels           # (latent_frames, kernel)
-        return T.overlap_sum(pieces, cfg.stride, self.output_length(mask.shape[0]))
+        pieces = T.mul(mask, latent) @ kernels           # (..., latent_frames, kernel)
+        n = self.output_length(mask.shape[-2])
+        out = T.overlap_sum(pieces.reshape(pieces.shape + (1,)), cfg.stride, n)
+        return out.reshape(out.shape[:-1])
 
     def output_length(self, latent_frames: int) -> int:
         return (latent_frames - 1) * self.cfg.stride + self.cfg.kernel

@@ -1,7 +1,7 @@
 """Separation objectives and evaluation metrics.
 
-``si_snr`` is differentiable (returns a scalar graph tensor), so the
-permutation-invariant loss built on it can drive training directly.
+``si_snr`` is differentiable (a graph tensor, scalar for 1-D signals), so
+the permutation-invariant loss built on it can drive training directly.
 The improvement metrics (``improvements``: SI-SNRi and SDRi) are plain
 floats for reporting; SDRi uses an SNR on the unscaled residual, a
 documented approximation of full distortion-ratio evaluation.
@@ -20,64 +20,81 @@ from .tensor import ContractError, Tensor
 
 def _as_signal(x) -> Tensor:
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    if t.data.ndim != 1:
-        raise ContractError(f"expected a 1-D signal, got shape {t.shape}")
+    if t.data.ndim < 1:
+        raise ContractError(f"expected a signal with a time axis, got shape {t.shape}")
     return t
 
 
-def _projection_db(est, target, eps: float, zero_mean: bool,
-                   scaled_numerator: bool) -> Tensor:
-    """Project the estimate onto the target and return, in dB, the signal
-    power over the power of the residual. The signal is the projected
+def _projection_db(est, target, eps: float, scaled_numerator: bool) -> Tensor:
+    """Project the zero-mean estimate onto the zero-mean target along the
+    last axis and return, in dB, the signal power over the power of the
+    residual, broadcast over the leading axes. The signal is the projected
     target when ``scaled_numerator`` is set, otherwise the plain target."""
     est = _as_signal(est)
     target = _as_signal(target)
-    if est.shape != target.shape:
+    if est.shape[-1] != target.shape[-1]:
         raise ContractError(
-            f"signal lengths differ: {est.shape[0]} vs {target.shape[0]}"
+            f"signal lengths differ: {est.shape[-1]} vs {target.shape[-1]}"
         )
-    if zero_mean:
-        est = T.sub(est, est.mean())
-        target = T.sub(target, target.mean())
-    dot = T.tsum(T.mul(est, target))
-    energy = T.tsum(T.mul(target, target))
-    scale = T.div(dot, T.add(energy, eps))
+    est = T.sub(est, est.mean(axis=-1, keepdims=True))
+    target = T.sub(target, target.mean(axis=-1, keepdims=True))
+
+    def inner(a, b):
+        return T.tsum(T.mul(a, b), axis=-1, keepdims=True)
+
+    energy = inner(target, target)
+    scale = T.div(inner(est, target), T.add(energy, eps))
     projected = T.mul(scale, target)
     residual = T.sub(est, projected)
-    signal = T.tsum(T.mul(projected, projected)) if scaled_numerator else energy
+    signal = inner(projected, projected) if scaled_numerator else energy
     num = T.add(signal, eps)
-    den = T.add(T.tsum(T.mul(residual, residual)), eps)
-    return T.decibels(T.div(num, den))
+    den = T.add(inner(residual, residual), eps)
+    ratio = T.decibels(T.div(num, den))
+    return ratio.reshape(ratio.shape[:-1])
 
 
-def si_snr(est, target, eps: float = 1e-8, zero_mean: bool = True) -> Tensor:
-    """Scale-invariant signal-to-noise ratio in dB (scalar tensor).
+def si_snr(est, target, eps: float = 1e-8) -> Tensor:
+    """Scale-invariant signal-to-noise ratio in dB over the last axis.
 
     The target is rescaled by the estimate's projection coefficient; the
     ratio of projected-signal power to residual power is reported in dB.
+    Leading axes broadcast; a pair of 1-D signals gives a scalar tensor.
     """
-    return _projection_db(est, target, eps, zero_mean, scaled_numerator=True)
+    return _projection_db(est, target, eps, scaled_numerator=True)
 
 
-def sdr(est, target, eps: float = 1e-8, zero_mean: bool = True) -> Tensor:
+def sdr(est, target, eps: float = 1e-8) -> Tensor:
     """Distortion ratio in dB, simplified: plain target power over the power
     of the scale-projected residual. Unlike ``si_snr`` the numerator is not
     rescaled by the projection coefficient, so estimate gain matters. This
     stands in for full distortion-ratio scoring with its allowed-filter
-    projection, which is out of scope.
+    projection, which is out of scope. Axes as in ``si_snr``.
     """
-    return _projection_db(est, target, eps, zero_mean, scaled_numerator=False)
+    return _projection_db(est, target, eps, scaled_numerator=False)
 
 
 @dataclass
 class PitResult:
-    loss: Tensor                  # scalar, -(best mean pairwise SI-SNR)
-    permutation: tuple[int, ...]  # estimate index -> target index
-    per_pair: np.ndarray          # (K, K) floats, [est][target]
+    loss: Tensor                  # scalar, -(best mean pairwise SI-SNR), batch mean
+    permutation: tuple            # estimate index -> target index (per example)
+    per_pair: np.ndarray          # (..., K, K) floats, [est][target]
+
+
+def _stack(signals, axis: int) -> Tensor:
+    """K signals (..., n) as one tensor (..., 1, 1, n) with K along ``axis``."""
+    signals = [_as_signal(s) for s in signals]
+    return T.concat([s.reshape(s.shape[:-1] + (1, 1, s.shape[-1])) for s in signals],
+                    axis)
 
 
 def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
-    """Best-permutation negative SI-SNR over all speaker assignments."""
+    """Best-permutation negative SI-SNR over all speaker assignments.
+
+    ``ests`` and ``targets`` hold K signals each, shaped (..., n). Each
+    example along the leading axes gets its own assignment; the loss is
+    their mean. ``permutation`` is a K-tuple for 1-D signals, otherwise a
+    tuple of them over the flattened leading axes.
+    """
     k = len(ests)
     if len(targets) != k:
         raise ContractError(
@@ -85,29 +102,25 @@ def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
         )
     if k > 4:
         raise ContractError("exhaustive assignment search supports at most 4 speakers")
-    pair = [[si_snr(ests[i], targets[j], eps) for j in range(k)] for i in range(k)]
-    best_perm = None
-    best_value = None
-    for perm in permutations(range(k)):
-        value = sum(pair[i][perm[i]].item() for i in range(k)) / k
-        if best_value is None or value > best_value:
-            best_value = value
-            best_perm = perm
-    chosen = pair[0][best_perm[0]]
-    for i in range(1, k):
-        chosen = T.add(chosen, pair[i][best_perm[i]])
-    loss = T.mul(chosen, -1.0 / k)
-    per_pair = np.array([[pair[i][j].item() for j in range(k)] for i in range(k)])
-    return PitResult(loss, best_perm, per_pair)
+    pair = si_snr(_stack(ests, -3), _stack(targets, -2), eps)   # (..., K, K)
+    per_pair = pair.data.astype(np.float64)
+    # max keeps the first of equal means
+    best = [max(permutations(range(k)),
+                key=lambda perm: sum(row[i, perm[i]] for i in range(k)) / k)
+            for row in per_pair.reshape((-1, k, k))]
+    chosen = pair.reshape((-1, k, k))[np.arange(len(best))[:, None], np.arange(k),
+                                      np.array(best)]
+    loss = T.mul(T.tsum(chosen), -1.0 / chosen.size)
+    return PitResult(loss, tuple(best) if pair.data.ndim > 2 else best[0], per_pair)
 
 
 def improvements(ests, targets, mixture, eps: float = 1e-8) -> tuple[float, float]:
-    """Mean SI-SNR and distortion-ratio improvements of the estimates over
+    """Mean SI-SNR and SDR improvements of one mixture's 1-D estimates over
     the raw mixture (dB), both under the one SI-SNR-optimal assignment."""
     pit = upit_loss(ests, targets, eps)
-    snri = sdri = 0.0
-    for i, j in enumerate(pit.permutation):
-        snri += pit.per_pair[i][j] - si_snr(mixture, targets[j], eps).item()
-        improved = sdr(ests[i], targets[j], eps).item()
-        sdri += improved - sdr(mixture, targets[j], eps).item()
-    return snri / len(ests), sdri / len(ests)
+    assigned = np.stack([targets[j] for j in pit.permutation])     # (K, n)
+    chosen = pit.per_pair[range(len(ests)), pit.permutation]
+    snri = chosen - si_snr(mixture, assigned, eps).data
+    sdri = np.subtract(sdr(np.stack(ests), assigned, eps).data,
+                       sdr(mixture, assigned, eps).data, dtype=np.float64)
+    return float(np.mean(snri)), float(np.mean(sdri))

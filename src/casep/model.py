@@ -4,7 +4,9 @@ The mask network runs on chunked latent features: normalize + project,
 segment into half-overlapping chunks, a stack of dual-path blocks, a
 projection to one channel group per speaker, overlap-add back to flat
 frames, and a per-speaker head that emits non-negative masks. Each mask
-gates the shared latent before its own decode pass.
+gates the shared latent before its own decode pass. Every stage carries
+optional leading axes, so a (B, n) batch runs the same code as one (n,)
+waveform.
 """
 
 from __future__ import annotations
@@ -55,25 +57,26 @@ class Separator(Module):
 
     def masks_for(self, samples: Tensor,
                   recorder: AttentionRecorder | None = None):
-        """Latent features plus one non-negative mask per speaker."""
+        """Latent features plus one non-negative mask per speaker, each
+        (..., latent_frames, filters) for (..., n) samples."""
         d, k = self.cfg.width, self.cfg.speakers
         latent = self.encoder(samples)
         pre = self.pre_linear(self.pre_norm(latent))
-        chunks = segment(pre, self.cfg.chunk_size)
+        h = segment(pre, self.cfg.chunk_size)
         for b, block in enumerate(self.blocks):
-            chunks = block(chunks, recorder, b)
-        post = self.post_act(self.post_linear(chunks.data))
-        flat = overlap_add(chunks.with_data(post))     # (T_lat, D*K)
+            h = block(h, recorder, b)
+        post = self.post_act(self.post_linear(h))
+        flat = overlap_add(post, latent.shape[-2])     # (..., T_lat, D*K)
         masks = []
         for s in range(k):
-            group = flat[:, s * d : (s + 1) * d]
+            group = flat[..., s * d : (s + 1) * d]
             hidden = T.relu(self.mask_in[s](group))
             masks.append(T.relu(self.mask_out[s](hidden)))
         return latent, masks
 
     def forward(self, samples: Tensor,
                 recorder: AttentionRecorder | None = None):
-        """Per-speaker waveform estimates (decoder length) and masks."""
+        """Per-speaker waveform estimates (..., decoder length) and masks."""
         latent, masks = self.masks_for(samples, recorder)
         estimates = [self.decoder(m, latent) for m in masks]
         return estimates, masks

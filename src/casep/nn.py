@@ -101,9 +101,6 @@ class ModuleList:
     def __getitem__(self, i):
         return self._items[i]
 
-    def append(self, module):
-        self._items.append(module)
-
     def named_parameters(self, prefix: str = ""):
         for i, m in enumerate(self._items):
             yield from m.named_parameters(f"{prefix}{i}.")
@@ -176,14 +173,12 @@ class MultiHeadAttention(Module):
             )
         lead = x.shape[:-2]
         t = x.shape[-2]
-        n = len(lead)
-        swap = tuple(range(n)) + (n + 1, n, n + 2)   # (..., T, H, d) <-> (..., H, T, d)
 
-        def heads(w):
+        def heads(w):   # (..., T, H, d) -> (..., H, T, d)
             z = T.linear(x, w).reshape(lead + (t, self.heads, self.head_dim))
-            return z.transpose(swap)
+            return T.swapaxes(z, -3, -2)
 
         ctx, weights = T.attention(heads(self.wq), heads(self.wk), heads(self.wv),
                                    self.scale)
-        merged = ctx.transpose(swap).reshape(lead + (t, self.width))
+        merged = T.swapaxes(ctx, -3, -2).reshape(lead + (t, self.width))
         return T.linear(merged, self.wo), weights

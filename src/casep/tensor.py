@@ -356,6 +356,14 @@ def transpose(a, axes=None) -> Tensor:
     return _from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
 
+def swapaxes(a, i: int, j: int) -> Tensor:
+    """``transpose`` exchanging axes ``i`` and ``j``."""
+    a = _wrap(a)
+    axes = list(range(a.data.ndim))
+    axes[i], axes[j] = axes[j], axes[i]
+    return transpose(a, axes)
+
+
 def take(a, idx) -> Tensor:
     """Basic slicing/indexing (no duplicate fancy indices)."""
     a = _wrap(a)
@@ -519,42 +527,44 @@ def linear(x, weight, bias=None) -> Tensor:
 
 
 def _frames(x: np.ndarray, size: int, hop: int, count: int) -> np.ndarray:
-    """Windows ``x[i*hop : i*hop+size]`` along axis 0 for ``i < count`` as
-    (count, size, ...); rows past the end of ``x`` read as zero. The
-    adjoint of ``_overlap_sum``."""
+    """Windows ``x[..., i*hop : i*hop+size, :]`` along axis -2 for
+    ``i < count`` as (..., count, size, C); rows past the end of ``x`` read
+    as zero. The adjoint of ``_overlap_sum``."""
     span = (count - 1) * hop + size
-    if x.shape[0] < span:
-        pad = np.zeros((span - x.shape[0],) + x.shape[1:], dtype=x.dtype)
-        x = np.concatenate([x, pad])
-    win = sliding_window_view(x[:span], size, axis=0)[::hop]  # (count, ..., size)
-    return np.ascontiguousarray(np.moveaxis(win, -1, 1))
+    n = x.shape[-2]
+    if n < span:
+        pad = np.zeros(x.shape[:-2] + (span - n, x.shape[-1]), dtype=x.dtype)
+        x = np.concatenate([x, pad], axis=-2)
+    win = sliding_window_view(x[..., :span, :], size, axis=-2)[..., ::hop, :, :]
+    return np.ascontiguousarray(np.swapaxes(win, -1, -2))
 
 
 def _overlap_sum(f: np.ndarray, hop: int, length: int) -> np.ndarray:
-    """Add frame ``i`` of f (count, size, ...) at row ``i*hop``, then cut or
-    zero-extend to ``length`` rows. The adjoint of ``_frames``; it loops
-    over the ceil(size/hop) hop-long phases of a frame, not over frames."""
-    count, size = f.shape[:2]
+    """Add frame ``i`` of f (..., count, size, C) at row ``i*hop`` of axis
+    -2, then cut or zero-extend to ``length`` rows. The adjoint of
+    ``_frames``; it loops over the ceil(size/hop) hop-long phases of a
+    frame, not over frames."""
+    lead, (count, size), tail = f.shape[:-3], f.shape[-3:-1], f.shape[-1:]
     phases = -(-size // hop)
     blocks = max(count - 1 + phases, -(-length // hop))
-    out = np.zeros((blocks, hop) + f.shape[2:], dtype=f.dtype)
+    out = np.zeros(lead + (blocks, hop) + tail, dtype=f.dtype)
     for j in range(phases):
         width = min(hop, size - j * hop)
-        out[j : j + count, :width] += f[:, j * hop : j * hop + width]
-    return out.reshape((blocks * hop,) + f.shape[2:])[:length]
+        out[..., j : j + count, :width, :] += f[..., j * hop : j * hop + width, :]
+    return out.reshape(lead + (blocks * hop,) + tail)[..., :length, :]
 
 
 def frames(x, size: int, hop: int, count: int) -> Tensor:
-    """(n, ...) -> (count, size, ...): ``size`` rows every ``hop`` rows,
-    zero past the end of ``x``."""
+    """(..., n, C) -> (..., count, size, C): ``size`` rows every ``hop``
+    rows of axis -2, zero past the end of ``x``."""
     x = _wrap(x)
     if size < 1 or hop < 1 or count < 1:
         raise ConfigError(
             f"frames needs positive size, hop and count, got {size}, {hop}, {count}"
         )
-    if x.data.ndim < 1:
-        raise ShapeError("frames expects at least one axis")
-    n = x.data.shape[0]
+    if x.data.ndim < 2:
+        raise ShapeError(f"frames expects (..., n, C), got {x.data.shape}")
+    n = x.data.shape[-2]
 
     def bwd(g):
         _accum(x, _overlap_sum(g, hop, n))
@@ -563,15 +573,15 @@ def frames(x, size: int, hop: int, count: int) -> Tensor:
 
 
 def overlap_sum(f, hop: int, length: int) -> Tensor:
-    """(count, size, ...) -> (length, ...): the adjoint of ``frames``."""
+    """(..., count, size, C) -> (..., length, C): the adjoint of ``frames``."""
     f = _wrap(f)
     if hop < 1 or length < 0:
         raise ConfigError(
             f"overlap_sum needs hop >= 1 and length >= 0, got {hop}, {length}"
         )
-    if f.data.ndim < 2:
-        raise ShapeError(f"overlap_sum expects (count, size, ...), got {f.data.shape}")
-    count, size = f.data.shape[:2]
+    if f.data.ndim < 3:
+        raise ShapeError(f"overlap_sum expects (..., count, size, C), got {f.data.shape}")
+    count, size = f.data.shape[-3:-1]
 
     def bwd(g):
         _accum(f, _frames(g, size, hop, count))

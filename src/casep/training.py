@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .blocks import AttentionRecorder
 from .checkpoint import load_checkpoint, load_model_state, load_separator, \
     model_state, save_checkpoint
@@ -37,17 +36,23 @@ def effective_spec(spec: SyntheticSpec, length_cap: int) -> SyntheticSpec:
     return spec
 
 
-def mixture_arrays(spec: SyntheticSpec, index: int, dtype):
-    mix, sources = gen_mixture(spec, index)
-    return (mix.samples.astype(dtype),
-            [s.samples.astype(dtype) for s in sources])
+def mixture_arrays(spec: SyntheticSpec, indices, dtype):
+    """Stream examples ``indices`` (an int or a sequence) as the mixtures and
+    one array per source, each shaped ``np.shape(indices) + (length,)``."""
+    mixes, sources = zip(*(gen_mixture(spec, int(i)) for i in np.ravel(indices)))
+    shape = np.shape(indices) + (spec.length,)
+
+    def stacked(waves):
+        return np.stack([w.samples for w in waves]).astype(dtype).reshape(shape)
+
+    return stacked(mixes), [stacked(s) for s in zip(*sources)]
 
 
 def example_loss(model: Separator, mix: np.ndarray, sources: list[np.ndarray]):
-    """Forward one mixture and return its permutation-invariant loss."""
+    """Forward mixtures (..., n) and return their permutation-invariant loss."""
     ests, _ = model.forward(Tensor(mix))
-    n = ests[0].shape[0]
-    targets = [s[:n] for s in sources]
+    n = ests[0].shape[-1]
+    targets = [s[..., :n] for s in sources]
     return upit_loss(ests, targets)
 
 
@@ -93,13 +98,10 @@ def train_run(entries: dict[str, str], resume: str | None = None,
     t0 = time.perf_counter()
     for step in range(start_step, settings.steps):
         model.zero_grad()
-        total = None
+        first = step * settings.batch
+        mix, sources = mixture_arrays(spec, range(first, first + settings.batch), dtype)
         try:
-            for b in range(settings.batch):
-                mix, sources = mixture_arrays(spec, step * settings.batch + b, dtype)
-                pit = example_loss(model, mix, sources)
-                total = pit.loss if total is None else T.add(total, pit.loss)
-            loss_t = T.mul(total, 1.0 / settings.batch)
+            loss_t = example_loss(model, mix, sources).loss
             value = loss_t.item()
             if not math.isfinite(value):
                 raise NonFiniteError("loss is not finite")

@@ -39,6 +39,8 @@ def read_wav(path) -> Waveform:
         raise WavFormatError(f"{path}: sample width {width} bytes, need 2 (16-bit)")
     if len(raw) % 2:
         raise WavFormatError(f"{path}: data chunk ends inside a sample")
+    if len(raw) < 2 * n:
+        raise WavFormatError(f"{path}: data chunk holds {len(raw) // 2} of {n} frames")
     ints = np.frombuffer(raw, dtype="<i2")
     return Waveform(ints.astype(np.float64) / 32768.0, rate)
 

@@ -169,9 +169,7 @@ class TestDualPathBlock:
     def test_shape_preserved(self, rng):
         block = self.make_block(shared=False, n_intra=1, n_inter=1)
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
-        out = block(chunks)
-        assert out.data.shape == chunks.data.shape
-        assert out.original_length == 10
+        assert block(chunks).shape == chunks.shape
 
     def test_permutation_is_involution(self, rng):
         x = Tensor(rng.standard_normal((3, 4, 5)))
@@ -200,8 +198,8 @@ class TestDualPathBlock:
                     p.data[:] = src[name].data
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
         with no_grad():
-            a = shared(chunks).data.data
-            b = unshared(chunks).data.data
+            a = shared(chunks).data
+            b = unshared(chunks).data
         assert np.array_equal(a, b)
 
     def test_shared_gradient_matches_finite_differences(self, rng):
@@ -209,15 +207,15 @@ class TestDualPathBlock:
         block = self.make_block(shared=True, seed=5, dtype=np.float64)
         x = rng.standard_normal((10, 8))
         chunks = segment(Tensor(x), 4)
-        proj = rng.standard_normal(chunks.data.shape)
+        proj = rng.standard_normal(chunks.shape)
 
         def loss_value():
             with no_grad():
                 out = block(segment(Tensor(x), 4))
-                return float(np.sum(out.data.data * proj))
+                return float(np.sum(out.data * proj))
 
         out = block(chunks)
-        T.tsum(T.mul(out.data, Tensor(proj))).backward()
+        T.tsum(T.mul(out, Tensor(proj))).backward()
         params = list(block.parameters())
         coords = []
         pick = np.random.default_rng(7)
@@ -250,7 +248,7 @@ class TestAttentionRecorder:
         block(chunks, recorder=rec, block_index=3)
         assert set(rec.maps) == {(3, "intra", 0), (3, "intra", 1),
                                  (3, "inter", 0)}
-        n_chunks, size = chunks.n_chunks, chunks.size
+        n_chunks, size = chunks.shape[:2]
         # within-chunk maps span chunk frames, across-chunk maps span chunks
         assert rec.maps[(3, "intra", 0)].shape == (n_chunks, 2, size, size)
         assert rec.maps[(3, "inter", 0)].shape == (size, 2, n_chunks, n_chunks)

@@ -97,7 +97,8 @@ class TestSeparate:
                      str(tmp_path / "sep")])
         assert "checkpoint config is not UTF-8" in assert_one_line_error(code, capsys)
 
-    @pytest.mark.parametrize("cut", [20, -1], ids=["inside_header", "odd_data"])
+    @pytest.mark.parametrize("cut", [20, -1, -4],
+                             ids=["inside_header", "odd_data", "short_data"])
     def test_truncated_wav_is_a_cli_error(self, trained, mixture_wav, tmp_path,
                                           capsys, cut):
         blob = mixture_wav.read_bytes()

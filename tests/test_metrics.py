@@ -9,13 +9,12 @@ from casep.metrics import improvements, sdr, si_snr, upit_loss
 from casep.tensor import ContractError, Tensor, no_grad
 
 
-def reference_si_snr(est, target, eps=1e-8, zero_mean=True):
+def reference_si_snr(est, target, eps=1e-8):
     """Independent plain-numpy evaluation of the training objective."""
     est = np.asarray(est, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if zero_mean:
-        est = est - est.mean()
-        target = target - target.mean()
+    est = est - est.mean()
+    target = target - target.mean()
     scale = np.dot(est, target) / (np.dot(target, target) + eps)
     projected = scale * target
     residual = est - projected
@@ -38,8 +37,9 @@ def reference_best_assignment(ests, targets, eps=1e-8):
 
 class TestSiSnr:
     def test_zero_db_hand_case(self):
-        # projection of [1,1] onto [1,0] is [1,0]; residual [0,1]: equal powers
-        value = si_snr([1.0, 1.0], [1.0, 0.0], zero_mean=False)
+        # zero-mean signals: the projection of [1,-1,1,-1] onto [1,-1,0,0] is
+        # [1,-1,0,0]; residual [0,0,1,-1]: equal powers
+        value = si_snr([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 0.0, 0.0])
         assert value.item() == pytest.approx(0.0, abs=1e-7)
 
     def test_scale_invariance(self, rng):
@@ -90,9 +90,17 @@ class TestSiSnr:
         with pytest.raises(ContractError):
             si_snr(np.zeros(5), np.zeros(6))
 
-    def test_rank_enforced(self):
-        with pytest.raises(ContractError):
-            si_snr(np.zeros((2, 5)), np.zeros((2, 5)))
+    def test_rows_equal_1d_calls(self, rng):
+        # the last axis is time; leading axes broadcast, here (3, 1) x (2,)
+        est = rng.standard_normal((3, 1, 64))
+        target = rng.standard_normal((2, 64))
+        for metric in (si_snr, sdr):
+            rows = metric(est, target).data
+            assert rows.shape == (3, 2)
+            for i in range(3):
+                for j in range(2):
+                    assert rows[i, j] == pytest.approx(
+                        metric(est[i, 0], target[j]).item(), abs=1e-12)
 
     def test_differentiable(self, rng):
         est = Tensor(rng.standard_normal(64), requires_grad=True)
@@ -148,6 +156,19 @@ class TestUpit:
         base = upit_loss(ests, targets)
         shuffled = upit_loss(ests, [targets[2], targets[0], targets[1]])
         assert shuffled.loss.item() == pytest.approx(base.loss.item(), abs=1e-9)
+
+    def test_batch_is_mean_of_examples(self, rng):
+        ests = [rng.standard_normal((4, 100)) for _ in range(3)]
+        targets = [rng.standard_normal((4, 100)) for _ in range(3)]
+        # example 1 prefers a different assignment from its neighbours
+        targets[0][1] = ests[2][1] + 0.1 * rng.standard_normal(100)
+        batched = upit_loss(ests, targets)
+        singles = [upit_loss([e[b] for e in ests], [t[b] for t in targets])
+                   for b in range(4)]
+        assert batched.permutation == tuple(s.permutation for s in singles)
+        assert batched.loss.item() == pytest.approx(
+            np.mean([s.loss.item() for s in singles]), abs=1e-12)
+        assert np.array_equal(batched.per_pair[2], singles[2].per_pair)
 
     def test_count_mismatch(self, rng):
         with pytest.raises(ContractError):

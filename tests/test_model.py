@@ -86,6 +86,18 @@ class TestForward:
         for est in estimates:
             assert est.shape == (expected,)
 
+    def test_batch_rows_equal_unbatched_forwards(self):
+        model = tiny_model()
+        rng = np.random.default_rng(5)
+        batch = rng.standard_normal((3, 256)).astype(model.cfg.dtype)
+        with no_grad():
+            estimates, masks = model.forward(Tensor(batch))
+            for b in range(3):
+                single, single_masks = model.forward(Tensor(batch[b]))
+                for got, want in zip(estimates + masks, single + single_masks):
+                    scale = np.max(np.abs(want.data))
+                    assert np.max(np.abs(got.data[b] - want.data)) <= 1e-6 * scale
+
     def test_outputs_finite(self):
         model = tiny_model()
         estimates, _ = model.forward(sample_input(model))

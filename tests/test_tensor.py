@@ -166,16 +166,18 @@ class TestConv1d:
     """The encoder's strided cross-correlation: frames(x) @ kernels.T."""
 
     def test_identity_kernel(self):
-        x = Tensor([1.0, 2.0, 3.0, 4.0])
-        out = T.frames(x, 1, 1, 4) @ Tensor([[1.0]])
+        x = Tensor([[1.0], [2.0], [3.0], [4.0]])
+        out = T.frames(x, 1, 1, 4).reshape((4, 1)) @ Tensor([[1.0]])
         assert np.array_equal(out.data, [[1.0], [2.0], [3.0], [4.0]])
 
     def test_hand_convolution(self):
         # hand oracle: window sums of [1,2,3,4] with kernel [1,1]
-        x = Tensor([1.0, 2.0, 3.0, 4.0])
+        x = Tensor([[1.0], [2.0], [3.0], [4.0]])
         k = Tensor([[1.0], [1.0]])
-        assert np.array_equal((T.frames(x, 2, 1, 3) @ k).data, [[3.0], [5.0], [7.0]])
-        assert np.array_equal((T.frames(x, 2, 2, 2) @ k).data, [[3.0], [7.0]])
+        assert np.array_equal((T.frames(x, 2, 1, 3).reshape((3, 2)) @ k).data,
+                              [[3.0], [5.0], [7.0]])
+        assert np.array_equal((T.frames(x, 2, 2, 2).reshape((2, 2)) @ k).data,
+                              [[3.0], [7.0]])
 
     def test_cross_correlation_no_flip(self, rng):
         enc = Encoder(EncoderConfig(filters=1, kernel=2, stride=1), rng)
@@ -192,8 +194,8 @@ class TestConv1d:
     def test_gradients(self):
         # the last two windows run past the end of x and read zeros there
         rng = np.random.default_rng(10)
-        fd_check(lambda x, k: T.frames(x, 4, 2, 6) @ k,
-                 [rng.standard_normal(11), rng.standard_normal((4, 3))])
+        fd_check(lambda x, k: T.frames(x, 4, 2, 6).reshape((6, 4)) @ k,
+                 [rng.standard_normal((11, 1)), rng.standard_normal((4, 3))])
         fd_check(lambda x: T.frames(x, 4, 2, 6), [rng.standard_normal((11, 3))])
 
 
@@ -201,34 +203,34 @@ class TestConv1dTransposed:
     """Its adjoint, the decoder's transposed conv: overlap_sum(y @ kernels)."""
 
     def test_single_frame_spread(self):
-        out = T.overlap_sum(Tensor([[1.0, 1.0]]), 1, 2)
-        assert np.array_equal(out.data, [1.0, 1.0])
+        out = T.overlap_sum(Tensor([[[1.0], [1.0]]]), 1, 2)
+        assert np.array_equal(out.data, [[1.0], [1.0]])
 
     def test_hand_adjoint(self):
-        out = T.overlap_sum(Tensor([[1.0, 1.0], [1.0, 1.0]]), 2, 4)
-        assert np.array_equal(out.data, [1.0, 1.0, 1.0, 1.0])
+        out = T.overlap_sum(Tensor(np.ones((2, 2, 1))), 2, 4)
+        assert np.array_equal(out.data, [[1.0], [1.0], [1.0], [1.0]])
 
     def test_nonpositive_stride(self):
         with pytest.raises(ConfigError):
-            T.overlap_sum(Tensor([[1.0]]), 0, 1)
+            T.overlap_sum(Tensor([[[1.0]]]), 0, 1)
         with pytest.raises(ConfigError):
-            T.frames(Tensor([1.0]), 1, 0, 1)
+            T.frames(Tensor([[1.0]]), 1, 0, 1)
 
     def test_adjoint_identity(self):
         # <conv(x), y> == <x, conv_T(y)> with the one kernel bank
         rng = np.random.default_rng(11)
-        x = rng.standard_normal(8)
+        x = rng.standard_normal((8, 1))
         k = rng.standard_normal((3, 4))          # (filters, kernel)
         y = rng.standard_normal(((8 - 4) // 2 + 1, 3))
-        fwd = (T.frames(Tensor(x), 4, 2, 3) @ Tensor(k.T)).data
-        bwd = T.overlap_sum(Tensor(y) @ Tensor(k), 2, 8).data
+        fwd = (T.frames(Tensor(x), 4, 2, 3).reshape((3, 4)) @ Tensor(k.T)).data
+        bwd = T.overlap_sum((Tensor(y) @ Tensor(k)).reshape((3, 4, 1)), 2, 8).data
         assert abs(np.sum(fwd * y) - np.sum(x * bwd)) < 1e-12
 
     def test_gradients(self):
         # cut below the span (7 rows of 2*2 + 4 = 8) and zero-extended past it
         rng = np.random.default_rng(12)
         for length in (7, 11):
-            fd_check(lambda y, k: T.overlap_sum(y @ k, 2, length),
+            fd_check(lambda y, k: T.overlap_sum((y @ k).reshape((3, 4, 1)), 2, length),
                      [rng.standard_normal((3, 5)), rng.standard_normal((5, 4))])
 
 
@@ -236,29 +238,32 @@ class TestFramingProperties:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 12), size=st.integers(1, 6), hop=st.integers(1, 8),
            count=st.integers(1, 8), length=st.integers(0, 40),
+           lead=st.sampled_from([(), (3,), (2, 1)]),
            seed=st.integers(0, 2**32 - 1))
-    def test_adjoint_identity(self, n, size, hop, count, length, seed):
+    def test_adjoint_identity(self, n, size, hop, count, length, lead, seed):
         # <frames(x), y> == <x, overlap_sum(y)> for any geometry, including
-        # hop > size, windows past the end of x and lengths on both sides
-        # of the span; overlap_sum to n rows is the exact transpose
+        # hop > size, windows past the end of x, lengths on both sides of
+        # the span and leading batch axes; overlap_sum to n rows is the
+        # exact transpose
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, 2))
-        y = rng.standard_normal((count, size, 2))
+        x = rng.standard_normal(lead + (n, 2))
+        y = rng.standard_normal(lead + (count, size, 2))
         fwd = T._frames(x, size, hop, count)
         assert abs(np.sum(fwd * y) - np.sum(x * T._overlap_sum(y, hop, n))) < 1e-12
         # per-window loops as the reference
         span = (count - 1) * hop + size
-        padded = np.concatenate([x, np.zeros((max(span - n, 0), 2))])
-        ref_frames = np.stack([padded[i * hop : i * hop + size] for i in range(count)])
+        padded = np.concatenate([x, np.zeros(lead + (max(span - n, 0), 2))], axis=-2)
+        ref_frames = np.stack([padded[..., i * hop : i * hop + size, :]
+                               for i in range(count)], axis=-3)
         assert np.array_equal(fwd, ref_frames)
-        ref_sum = np.zeros((max(span, n) + length, 2))
+        ref_sum = np.zeros(lead + (max(span, n) + length, 2))
         for i in range(count):
-            ref_sum[i * hop : i * hop + size] += y[i]
+            ref_sum[..., i * hop : i * hop + size, :] += y[..., i, :, :]
         # the sum cut below or zero-extended past the span
         for rows in (n, length, span + length):
             got = T._overlap_sum(y, hop, rows)
-            assert got.shape == (rows, 2)
-            assert np.allclose(got, ref_sum[:rows], rtol=0, atol=1e-12)
+            assert got.shape == lead + (rows, 2)
+            assert np.allclose(got, ref_sum[..., :rows, :], rtol=0, atol=1e-12)
 
 
 class TestDepthwiseConv1d:

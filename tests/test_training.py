@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
-from conftest import smoke_entries, tiny_model_config, two_sine_spec
+from conftest import smoke_entries, smoke_model_config, tiny_model_config, \
+    two_sine_spec
 
+import casep.tensor as T
+from casep import chunking
 from casep.checkpoint import load_checkpoint, model_state
 from casep.config import parse_flat
 from casep.model import Separator
@@ -14,8 +17,10 @@ from casep.training import (
     dump_attention_run,
     effective_spec,
     eval_run,
+    example_loss,
     grad_check_report,
     grad_check_run,
+    mixture_arrays,
     separate_files,
     train_run,
 )
@@ -71,6 +76,28 @@ class TestTrainRun:
         with np.errstate(all="ignore"), \
                 pytest.raises(RuntimeError, match="training aborted at step"):
             train_run(entries)
+
+    def test_one_graph_for_any_batch(self, monkeypatch):
+        # a training step builds one forward and one loss for the whole
+        # batch, so its node count does not grow with the batch size
+        model = Separator.build(smoke_model_config(), 0)
+        nodes = []
+        original = T._from_op
+
+        def counting(data, parents, backward):
+            nodes.append(backward)
+            return original(data, parents, backward)
+
+        monkeypatch.setattr(T, "_from_op", counting)
+        monkeypatch.setattr(chunking, "_from_op", counting)
+        counts = {}
+        for batch in (1, 4):
+            mix, sources = mixture_arrays(two_sine_spec(), range(batch), np.float32)
+            assert mix.shape == (batch, 512)
+            nodes.clear()
+            example_loss(model, mix, sources).loss.backward()
+            counts[batch] = len(nodes)
+        assert counts[1] == counts[4], counts
 
 
 class TestResume:

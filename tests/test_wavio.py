@@ -80,3 +80,10 @@ class TestFormatErrors:
         path.write_bytes(path.read_bytes()[:-1])     # half of the last sample
         with pytest.raises(WavFormatError, match="inside a sample"):
             read_wav(path)
+
+    def test_short_data_chunk_rejected(self, tmp_path):
+        path = tmp_path / "short.wav"
+        write_wav(path, Waveform(np.zeros(10), 8000))
+        path.write_bytes(path.read_bytes()[:-4])     # the last two samples
+        with pytest.raises(WavFormatError, match="8 of 10 frames"):
+            read_wav(path)
