@@ -53,37 +53,39 @@ train.batch = 2
 train.seed = 0
 """
 
-work = Path(tempfile.mkdtemp(prefix="separator_demo_"))
-entries = parse_flat(CONFIG)
-entries["train.out_dir"] = str(work)
+# Everything the run writes goes to a directory removed at the end.
+with tempfile.TemporaryDirectory(prefix="separator_demo_") as tmp:
+    work = Path(tmp)
+    entries = parse_flat(CONFIG)
+    entries["train.out_dir"] = str(work)
 
-result = train_run(entries)
-print(f"trained {result.end_step} steps in {result.wall_time:.1f}s, "
-      f"final loss {result.losses[-1]:+.2f}, "
-      f"train SI-SNRi {result.train_si_snri:+.2f} dB")
+    result = train_run(entries)
+    print(f"trained {result.end_step} steps in {result.wall_time:.1f}s, "
+          f"final loss {result.losses[-1]:+.2f}, "
+          f"train SI-SNRi {result.train_si_snri:+.2f} dB")
 
-# Separate a mixture the training stream never produced (fresh seed).
-spec = synthetic_spec_from_flat(entries, 2, 8000)
-spec.seed = 1234
-mixture, sources = gen_mixture(spec, index=0)
+    # Separate a mixture the training stream never produced (fresh seed).
+    spec = synthetic_spec_from_flat(entries, 2, 8000)
+    spec.seed = 1234
+    mixture, sources = gen_mixture(spec, index=0)
 
-model, _ = load_separator(result.checkpoint_path)
-estimates = model.separate(mixture)
+    model, _ = load_separator(result.checkpoint_path)
+    estimates = model.separate(mixture)
 
-improvement, _ = improvements(
-    [e.samples for e in estimates],
-    [s.samples for s in sources],
-    mixture.samples,
-)
-print(f"held-out mixture separated: SI-SNRi {improvement:+.2f} dB")
+    improvement, _ = improvements(
+        [e.samples for e in estimates],
+        [s.samples for s in sources],
+        mixture.samples,
+    )
+    print(f"held-out mixture separated: SI-SNRi {improvement:+.2f} dB")
 
-# Attention maps are row-stochastic scores; here the first head's
-# within-chunk map from the only block. Scale before writing so the
-# 16-bit file does not clip.
-wav = work / "mix.wav"
-write_wav(wav, Waveform(0.2 * mixture.samples, mixture.sample_rate))
-path = dump_attention_run(str(result.checkpoint_path), str(wav),
-                          "0:intra:0:0", str(work / "maps"))
-grid = np.loadtxt(path)
-print(f"attention map {grid.shape[0]}x{grid.shape[1]} written to {path}")
-print("row sums:", np.round(grid.sum(axis=1), 6))
+    # Attention maps are row-stochastic scores; here the first head's
+    # within-chunk map from the only block. Scale before writing so the
+    # 16-bit file does not clip.
+    wav = work / "mix.wav"
+    write_wav(wav, Waveform(0.2 * mixture.samples, mixture.sample_rate))
+    path = dump_attention_run(str(result.checkpoint_path), str(wav),
+                              "0:intra:0:0", str(work / "maps"))
+    grid = np.loadtxt(path)
+    print(f"attention map {grid.shape[0]}x{grid.shape[1]} dumped to {Path(path).name}")
+    print("row sums:", np.round(grid.sum(axis=1), 6))

@@ -10,9 +10,9 @@ count of the instantiated model exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .config import ModelConfig, PathConfig
+from .config import ModelConfig, PathConfig, default_model_config
 from .nn import Module
 from .tensor import ConfigError
 
@@ -186,25 +186,14 @@ def param_report_kv(report: ParamReport) -> dict[str, str]:
 
 def _budget_config(split: bool, blocks: int, intra: int, inter: int,
                    shared: bool) -> ModelConfig:
-    from .codec import EncoderConfig
-
-    if split:
-        intra_pc = PathConfig(256, 128, 128, heads=8, kernel=51, ffn_dim=1024)
-        inter_pc = PathConfig(256, 128, 128, heads=8, kernel=11, ffn_dim=1024)
-    else:
-        intra_pc = PathConfig(256, 256, 0, heads=8, kernel=51, ffn_dim=1024)
-        inter_pc = PathConfig(256, 256, 0, heads=8, kernel=11, ffn_dim=1024)
-    return ModelConfig(
-        encoder=EncoderConfig(filters=256, kernel=16, stride=8),
-        chunk_size=250,
-        speakers=2,
-        n_blocks=blocks,
-        n_intra=intra,
-        n_inter=inter,
-        shared=shared,
-        intra=intra_pc,
-        inter=inter_pc,
-    )
+    """``default_model_config`` with these repetitions; without ``split``
+    every layer's channels go to attention."""
+    cfg = replace(default_model_config(), n_blocks=blocks, n_intra=intra,
+                  n_inter=inter, shared=shared)
+    if not split:
+        cfg.intra = replace(cfg.intra, attn_channels=256, conv_channels=0)
+        cfg.inter = replace(cfg.inter, attn_channels=256, conv_channels=0)
+    return cfg
 
 
 @dataclass

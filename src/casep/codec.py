@@ -38,9 +38,9 @@ class Waveform:
 
 @dataclass
 class EncoderConfig:
-    filters: int = 256
-    kernel: int = 16
-    stride: int = 8
+    filters: int
+    kernel: int
+    stride: int
 
     def __post_init__(self):
         if self.filters < 1 or self.kernel < 1 or self.stride < 1:

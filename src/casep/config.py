@@ -1,14 +1,16 @@
 """Run configuration: dataclasses and the flat ``section.key = value`` format.
 
 One text file fully determines a run. Lines are ``dotted.key = value``;
-``#`` starts a comment. Values are parsed by the consuming field (int,
-float, bool, string, or a band list like ``100-400; 1000-2000``).
+``#`` starts a comment. Each key is one dataclass field: its annotation
+picks the parser (int, float, bool, string, or a band list like
+``100-400; 1000-2000``) and its default fills a missing key.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -23,9 +25,9 @@ class PathConfig:
     width: int
     attn_channels: int
     conv_channels: int
-    heads: int
-    kernel: int
     ffn_dim: int
+    heads: int = 1
+    kernel: int = 1
 
     def validate(self) -> None:
         if self.width < 1:
@@ -57,9 +59,9 @@ class ModelConfig:
     n_blocks: int
     n_intra: int
     n_inter: int
-    shared: bool
     intra: PathConfig
     inter: PathConfig
+    shared: bool = False
     sample_rate: int = 8000
     precision: str = "single"
 
@@ -89,6 +91,12 @@ class ModelConfig:
             raise ConfigError("sample rate must be positive")
         self.intra.validate()
         self.inter.validate()
+
+
+# Source levels are dB from unit RMS. Past +-100 dB a source is clipped or
+# rounded to silence in a PCM16 WAV (about 96 dB of range), and near
+# 6000 dB its gain overflows float64.
+_LEVEL_DB_LIMIT = 100.0
 
 
 @dataclass
@@ -124,10 +132,22 @@ class SyntheticSpec:
         for (_, hi), (lo, _) in zip(ordered, ordered[1:]):
             if lo < hi:
                 raise ConfigError("source frequency bands must be disjoint")
+        for name in ("level_db_lo", "level_db_hi"):
+            level = getattr(self, name)
+            if not -_LEVEL_DB_LIMIT <= level <= _LEVEL_DB_LIMIT:
+                raise ConfigError(f"{name} {level} outside "
+                                  f"[-{_LEVEL_DB_LIMIT:g}, {_LEVEL_DB_LIMIT:g}] dB")
         if self.level_db_hi < self.level_db_lo:
             raise ConfigError("level range high end below low end")
         if self.length < 1:
             raise ConfigError("length must be positive")
+        if self.kind == "noise_band":
+            # the rfft bins synth keeps; none would make an all-zero source
+            freqs = np.fft.rfftfreq(self.length, d=1.0 / self.sample_rate)
+            for lo, hi in self.bands:
+                if not np.any((freqs >= lo) & (freqs <= hi)):
+                    raise ConfigError(f"band {lo}-{hi} holds no frequency bin "
+                                      f"at length {self.length}")
 
 
 @dataclass
@@ -147,6 +167,8 @@ class TrainSettings:
             raise ConfigError("steps must be >= 0")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
+        if not math.isfinite(self.lr):
+            raise ConfigError(f"learning rate must be finite, got {self.lr}")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
 
@@ -188,27 +210,12 @@ def config_hash(entries: dict[str, str]) -> str:
     return hashlib.sha256(serialize_flat(entries).encode()).hexdigest()
 
 
-def _get(entries, key, conv, default=None):
-    if key not in entries:
-        if default is None:
-            raise ConfigError(f"missing required config key {key}")
-        return default
-    value = entries[key]
-    try:
-        return conv(value)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-
-
-def _bool(value: str) -> bool:
-    v = value.lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+# flat key names that differ from their field names
+_KEYS = {"n_blocks": "blocks", "n_intra": "intra_reps", "n_inter": "inter_reps"}
+# required in the flat text; the dataclass default serves direct construction
+_REQUIRED = {"bands"}
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
 
 
 def _bands(value: str) -> list[tuple[float, float]]:
@@ -224,116 +231,97 @@ def _bands(value: str) -> list[tuple[float, float]]:
     return bands
 
 
-def _path_config(entries: dict[str, str], section: str, width: int) -> PathConfig:
-    g = lambda key, conv, default=None: _get(entries, f"{section}.{key}", conv, default)
-    return PathConfig(
-        width=width,
-        attn_channels=g("attn_channels", int),
-        conv_channels=g("conv_channels", int),
-        heads=g("heads", int, 1),
-        kernel=g("kernel", int, 1),
-        ffn_dim=g("ffn_dim", int),
-    )
+_PARSERS = {"int": int, "float": float, "str": str,
+            "list[tuple[float, float]]": _bands}
+
+
+def _convert(key: str, kind: str, value: str):
+    """Parse ``value`` by the annotation ``kind`` of the field behind ``key``."""
+    if kind == "bool":
+        if value.lower() not in _BOOLS:
+            raise ConfigError(f"expected a boolean, got {value!r}")
+        return _BOOLS[value.lower()]
+    try:
+        return _PARSERS[kind](value)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+
+
+def _read(cls, entries: dict[str, str], section: str, **given):
+    """Build ``cls`` from the ``section.*`` entries. Fields in ``given`` are
+    taken as passed; a missing key falls back to the field's default, and a
+    field without one (or named in ``_REQUIRED``) must be present."""
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = f"{section}.{_KEYS.get(f.name, f.name)}"
+        if key in entries:
+            values[f.name] = _convert(key, f.type, entries[key])
+        elif f.name in _REQUIRED or (f.default is MISSING
+                                     and f.default_factory is MISSING):
+            raise ConfigError(f"missing required config key {key}")
+    return cls(**values)
+
+
+def _write(obj, section: str, out: dict[str, str], *skip: str) -> None:
+    """Add every field of ``obj`` except ``skip`` to ``out`` as flat text."""
+    for f in fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            text = str(value).lower() if f.type == "bool" else str(value)
+            out[f"{section}.{_KEYS.get(f.name, f.name)}"] = text
 
 
 def model_config_from_flat(entries: dict[str, str]) -> ModelConfig:
-    enc = EncoderConfig(
-        filters=_get(entries, "encoder.filters", int),
-        kernel=_get(entries, "encoder.kernel", int),
-        stride=_get(entries, "encoder.stride", int),
-    )
-    cfg = ModelConfig(
-        encoder=enc,
-        chunk_size=_get(entries, "model.chunk_size", int),
-        speakers=_get(entries, "model.speakers", int),
-        n_blocks=_get(entries, "model.blocks", int),
-        n_intra=_get(entries, "model.intra_reps", int),
-        n_inter=_get(entries, "model.inter_reps", int),
-        shared=_get(entries, "model.shared", _bool, False),
-        intra=_path_config(entries, "intra", enc.filters),
-        inter=_path_config(entries, "inter", enc.filters),
-        sample_rate=_get(entries, "model.sample_rate", int, 8000),
-        precision=_get(entries, "model.precision", str, "single"),
-    )
+    enc = _read(EncoderConfig, entries, "encoder")
+    cfg = _read(ModelConfig, entries, "model", encoder=enc,
+                intra=_read(PathConfig, entries, "intra", width=enc.filters),
+                inter=_read(PathConfig, entries, "inter", width=enc.filters))
     cfg.validate()
     return cfg
 
 
 def model_config_to_flat(cfg: ModelConfig) -> dict[str, str]:
-    out = {
-        "encoder.filters": str(cfg.encoder.filters),
-        "encoder.kernel": str(cfg.encoder.kernel),
-        "encoder.stride": str(cfg.encoder.stride),
-        "model.chunk_size": str(cfg.chunk_size),
-        "model.speakers": str(cfg.speakers),
-        "model.blocks": str(cfg.n_blocks),
-        "model.intra_reps": str(cfg.n_intra),
-        "model.inter_reps": str(cfg.n_inter),
-        "model.shared": "true" if cfg.shared else "false",
-        "model.sample_rate": str(cfg.sample_rate),
-        "model.precision": cfg.precision,
-    }
-    for section, pc in (("intra", cfg.intra), ("inter", cfg.inter)):
-        out[f"{section}.attn_channels"] = str(pc.attn_channels)
-        out[f"{section}.conv_channels"] = str(pc.conv_channels)
-        out[f"{section}.heads"] = str(pc.heads)
-        out[f"{section}.kernel"] = str(pc.kernel)
-        out[f"{section}.ffn_dim"] = str(pc.ffn_dim)
+    out: dict[str, str] = {}
+    _write(cfg.encoder, "encoder", out)
+    _write(cfg, "model", out, "encoder", "intra", "inter")
+    _write(cfg.intra, "intra", out, "width")
+    _write(cfg.inter, "inter", out, "width")
     return out
 
 
 def synthetic_spec_from_flat(entries: dict[str, str], n_sources: int,
                              sample_rate: int) -> SyntheticSpec:
-    g = lambda key, conv, default=None: _get(entries, f"data.{key}", conv, default)
-    spec = SyntheticSpec(
-        n_sources=n_sources,
-        length=g("length", int, 512),
-        sample_rate=sample_rate,
-        kind=g("kind", str, "sinusoid"),
-        bands=g("bands", _bands),
-        level_db_lo=g("level_db_lo", float, 0.0),
-        level_db_hi=g("level_db_hi", float, 0.0),
-        seed=g("seed", int, 0),
-    )
+    spec = _read(SyntheticSpec, entries, "data", n_sources=n_sources,
+                 sample_rate=sample_rate)
     spec.validate()
     return spec
 
 
 def train_settings_from_flat(entries: dict[str, str]) -> TrainSettings:
-    g = lambda key, conv, default=None: _get(entries, f"train.{key}", conv, default)
-    ts = TrainSettings(
-        steps=g("steps", int, 500),
-        lr=g("lr", float, 1e-3),
-        batch=g("batch", int, 1),
-        seed=g("seed", int, 0),
-        beta1=g("beta1", float, 0.9),
-        beta2=g("beta2", float, 0.999),
-        eps=g("eps", float, 1e-8),
-        length_cap=g("length_cap", int, 0),
-        out_dir=g("out_dir", str, "run"),
-    )
+    ts = _read(TrainSettings, entries, "train")
     ts.validate()
     return ts
 
 
 def eval_settings_from_flat(entries: dict[str, str]) -> EvalSettings:
-    g = lambda key, conv, default=None: _get(entries, f"eval.{key}", conv, default)
-    es = EvalSettings(count=g("count", int, 16), seed=g("seed", int, 1))
+    es = _read(EvalSettings, entries, "eval")
     es.validate()
     return es
 
 
 def default_model_config() -> ModelConfig:
     """Full-scale architecture defaults (wide variant, split channels)."""
-    enc = EncoderConfig(filters=256, kernel=16, stride=8)
     return ModelConfig(
-        encoder=enc,
+        encoder=EncoderConfig(filters=256, kernel=16, stride=8),
         chunk_size=250,
         speakers=2,
         n_blocks=2,
         n_intra=4,
         n_inter=4,
-        shared=False,
         intra=PathConfig(256, 128, 128, heads=8, kernel=51, ffn_dim=1024),
         inter=PathConfig(256, 128, 128, heads=8, kernel=11, ffn_dim=1024),
     )

@@ -76,7 +76,7 @@ def sdr(est, target, eps: float = 1e-8) -> Tensor:
 @dataclass
 class PitResult:
     loss: Tensor                  # scalar, -(best mean pairwise SI-SNR), batch mean
-    permutation: tuple            # estimate index -> target index (per example)
+    permutation: np.ndarray       # (..., K) ints, estimate index -> target index
     per_pair: np.ndarray          # (..., K, K) floats, [est][target]
 
 
@@ -92,8 +92,7 @@ def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
 
     ``ests`` and ``targets`` hold K signals each, shaped (..., n). Each
     example along the leading axes gets its own assignment; the loss is
-    their mean. ``permutation`` is a K-tuple for 1-D signals, otherwise a
-    tuple of them over the flattened leading axes.
+    their mean. ``permutation`` holds each example's assignment, (..., K).
     """
     k = len(ests)
     if len(targets) != k:
@@ -105,21 +104,20 @@ def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
     pair = si_snr(_stack(ests, -3), _stack(targets, -2), eps)   # (..., K, K)
     per_pair = pair.data.astype(np.float64)
     # max keeps the first of equal means
-    best = [max(permutations(range(k)),
-                key=lambda perm: sum(row[i, perm[i]] for i in range(k)) / k)
-            for row in per_pair.reshape((-1, k, k))]
-    chosen = pair.reshape((-1, k, k))[np.arange(len(best))[:, None], np.arange(k),
-                                      np.array(best)]
+    best = np.array([max(permutations(range(k)),
+                         key=lambda perm: sum(row[i, perm[i]] for i in range(k)) / k)
+                     for row in per_pair.reshape((-1, k, k))])
+    chosen = pair.reshape((-1, k, k))[np.arange(len(best))[:, None], np.arange(k), best]
     loss = T.mul(T.tsum(chosen), -1.0 / chosen.size)
-    return PitResult(loss, tuple(best) if pair.data.ndim > 2 else best[0], per_pair)
+    return PitResult(loss, best.reshape(per_pair.shape[:-1]), per_pair)
 
 
 def improvements(ests, targets, mixture, eps: float = 1e-8) -> tuple[float, float]:
     """Mean SI-SNR and SDR improvements of one mixture's 1-D estimates over
     the raw mixture (dB), both under the one SI-SNR-optimal assignment."""
     pit = upit_loss(ests, targets, eps)
-    assigned = np.stack([targets[j] for j in pit.permutation])     # (K, n)
-    chosen = pit.per_pair[range(len(ests)), pit.permutation]
+    assigned = np.stack(targets)[pit.permutation]                  # (K, n)
+    chosen = pit.per_pair[np.arange(len(ests)), pit.permutation]
     snri = chosen - si_snr(mixture, assigned, eps).data
     sdri = np.subtract(sdr(np.stack(ests), assigned, eps).data,
                        sdr(mixture, assigned, eps).data, dtype=np.float64)

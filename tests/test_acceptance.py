@@ -162,7 +162,7 @@ class TestCriterion6:
                 )
                 mean = np.mean([self._reference_si_snr(ests[i], targets[best[i]])
                                 for i in range(k)])
-                if pit.permutation != best:
+                if tuple(pit.permutation) != best:
                     wrong += 1
                 worst_gap = max(worst_gap, abs(-pit.loss.item() - mean))
         ok = wrong == 0 and worst_gap < 1e-9

@@ -66,6 +66,18 @@ class TestTrain:
         code = main(["train", str(config_file), "--resume", str(weights)])
         assert "lacks optimizer state: optim.step" in assert_one_line_error(code, capsys)
 
+    @pytest.mark.parametrize("edits, named", [
+        ("data.kind = noise_band\ndata.length = 16\ndata.bands = 100-110; 1000-2000\n",
+         "band 100.0-110.0 holds no frequency bin"),
+        ("data.level_db_lo = nan\n", "level_db_lo nan"),
+        ("data.level_db_hi = 7000\n", "level_db_hi 7000.0"),
+        ("train.lr = nan\n", "learning rate must be finite, got nan"),
+    ], ids=["empty_noise_band", "nan_level", "huge_level", "nan_lr"])
+    def test_bad_setting_is_a_cli_error(self, config_file, capsys, edits, named):
+        config_file.write_text(config_file.read_text() + edits)
+        code = main(["train", str(config_file)])
+        assert named in assert_one_line_error(code, capsys)
+
     def test_missing_config_is_a_cli_error(self, capsys):
         assert main(["train", "/nonexistent.cfg"]) == 2
         assert "error:" in capsys.readouterr().err
