@@ -6,9 +6,16 @@ attention channels [D_c, D). After both paths run, outputs are rejoined in
 that same order, fed through a two-layer feed-forward, and normalized.
 Either path may be empty (D_c = 0 or D_a = 0); the layer then degenerates
 to a plain attention or conv layer of full width.
+
+Each chunk (within-chunk pass) and each frame position (across-chunk pass)
+is an independent sequence. Without graph recording, a layer runs them in
+slabs sized to ``SLAB_BYTES``, so its (..., heads, T, T) scores and
+(..., T, ffn_dim) hidden stay bounded however long the input is.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +31,11 @@ from .nn import (
     uniform_init,
 )
 from .tensor import ConfigError, Tensor
+
+
+# Bytes one slab's attention scores, and separately its feed-forward hidden
+# pair, may take in a layer run without graph recording.
+SLAB_BYTES = 16 << 20
 
 
 def channel_split(h: Tensor, conv_channels: int, attn_channels: int):
@@ -92,7 +104,32 @@ class HybridLayer(Module):
         mixed = self.pointwise(T.swapaxes(dw, -2, -1))  # back to (..., T, C)
         return self.conv_norm(T.add(mixed, hc))
 
+    def _slab_size(self, length: int, itemsize: int) -> int:
+        """The most sequences of ``length`` whose score map and whose
+        feed-forward pair each fit ``SLAB_BYTES``; at least one."""
+        cfg = self.cfg
+        scores = cfg.heads * length * length if self.attn is not None else 0
+        per_sequence = max(scores, 2 * length * cfg.ffn_dim) * itemsize
+        return max(1, SLAB_BYTES // per_sequence)
+
     def __call__(self, h: Tensor, record=None) -> Tensor:
+        """Without graph recording, runs the flattened (N, T, D) sequences
+        in slabs of ``_slab_size``; ``record`` still gets one full map."""
+        lead, (length, width) = h.shape[:-2], h.shape[-2:]
+        count = math.prod(lead)
+        size = self._slab_size(length, h.dtype.itemsize)
+        if T.grad_enabled() or size >= count:
+            return self._body(h, record)
+        flat = h.reshape((count, length, width))
+        maps = []
+        collect = None if record is None else maps.append
+        outs = [self._body(flat[i : i + size], collect)
+                for i in range(0, count, size)]
+        if maps:
+            record(np.concatenate(maps).reshape(lead + maps[0].shape[1:]))
+        return T.concat(outs, axis=0).reshape(h.shape)
+
+    def _body(self, h: Tensor, record) -> Tensor:
         cfg = self.cfg
         hc, ha = channel_split(h, cfg.conv_channels, cfg.attn_channels)
         if self.attn is not None:

@@ -62,15 +62,20 @@ def save_checkpoint(path, cfg: ModelConfig, tensors: dict[str, np.ndarray],
 
 
 class _Reader:
+    """Reads the file once into a writable buffer; ``take`` returns views."""
+
     def __init__(self, path):
         self.path = path
-        self.blob = Path(path).read_bytes()
+        # numpy's allocator asks for huge pages, so a large file takes a few
+        # hundred page faults instead of one per 4 KiB
+        self.blob = np.fromfile(path, dtype=np.uint8)
+        self.view = memoryview(self.blob)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise ConfigError("truncated checkpoint file")
-        out = self.blob[self.pos : self.pos + n]
+        out = self.view[self.pos : self.pos + n]
         self.pos += n
         return out
 
@@ -79,13 +84,15 @@ class _Reader:
 
     def text(self, what: str) -> str:
         try:
-            return self.take(self.u32()).decode()
+            return str(self.take(self.u32()), "utf-8")
         except UnicodeDecodeError:
             raise ConfigError(f"{self.path}: checkpoint {what} is not UTF-8") from None
 
 
 def load_checkpoint(path):
-    """Returns (ModelConfig, raw config entries, {name: float32 array})."""
+    """Returns (ModelConfig, raw config entries, {name: float32 array}).
+
+    The arrays are writable views into one buffer holding the whole file."""
     r = _Reader(path)
     if r.take(4) != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint (bad magic)")
@@ -100,8 +107,7 @@ def load_checkpoint(path):
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
         count = math.prod(shape)   # Python ints: np.prod of huge extents wraps
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
-        tensors[name] = data.copy()
+        tensors[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
     if r.pos != len(r.blob):
         raise ConfigError(f"{path}: trailing bytes after last tensor")
     return cfg, entries, tensors
@@ -113,10 +119,11 @@ def model_state(model: Module) -> dict[str, np.ndarray]:
 
 
 def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
-    """Put checkpoint weights into a built model, name by name.
+    """Copy checkpoint weights into a built model's parameters, name by name.
 
-    Arrays already in the model's dtype become the parameters' data
-    without a copy, so the caller must not reuse ``tensors`` afterwards."""
+    Each value is cast to the parameter's dtype and written into the array
+    the parameter already holds, so the model shares no memory with
+    ``tensors``."""
     weights = {k: v for k, v in tensors.items() if not k.startswith("optim.")}
     state = model_state(model)
     missing = sorted(set(state) - set(weights))
@@ -133,7 +140,7 @@ def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
                 f"shape mismatch for {name}: checkpoint {arr.shape} "
                 f"vs model {p.data.shape}"
             )
-        p.data = arr.astype(p.data.dtype, copy=False)
+        np.copyto(p.data, arr)
 
 
 def load_separator(path) -> tuple[Separator, dict[str, str]]:

@@ -171,6 +171,8 @@ class TrainSettings:
             raise ConfigError(f"learning rate must be finite, got {self.lr}")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if not math.isfinite(self.eps) or self.eps <= 0:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .nn import unique_named
@@ -22,6 +24,8 @@ class Adam:
             raise ConfigError("learning rate must be positive")
         if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
             raise ConfigError("betas must lie in [0, 1)")
+        if not math.isfinite(eps) or eps <= 0:
+            raise ConfigError(f"eps must be positive and finite, got {eps}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -48,6 +48,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the graph; False inside ``no_grad``."""
+    return _grad_enabled
+
+
 def _check_finite(arr: np.ndarray, op: str = "operation") -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{op} produced a non-finite value")

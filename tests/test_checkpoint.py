@@ -66,6 +66,32 @@ class TestRoundTrip:
         for name, original in model_state(model).items():
             assert np.array_equal(model_state(fresh)[name], original), name
 
+    @pytest.mark.parametrize("shared, precision", [
+        (False, "single"), (False, "double"), (True, "single")])
+    def test_load_copies_into_built_parameters(self, ckpt_path, shared, precision):
+        cfg = tiny_model_config(shared=shared, precision=precision)
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
+        _, _, tensors = load_checkpoint(ckpt_path)
+        fresh = Separator.build(cfg, seed=99)
+        arrays = {name: p.data for name, p in fresh.named_parameters()}
+        load_model_state(fresh, tensors)
+        for name, p in fresh.named_parameters():
+            assert p.data is arrays[name], name
+            assert p.data.dtype == cfg.dtype
+            assert np.array_equal(p.data, tensors[name].astype(cfg.dtype)), name
+
+    def test_loaded_dict_does_not_alias_model(self, ckpt_path):
+        cfg = tiny_model_config()
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
+        _, _, tensors = load_checkpoint(ckpt_path)
+        fresh = Separator.build(cfg, seed=99)
+        load_model_state(fresh, tensors)
+        before = {name: a.copy() for name, a in model_state(fresh).items()}
+        for arr in tensors.values():
+            arr[...] = np.nan
+        for name, arr in model_state(fresh).items():
+            assert np.array_equal(arr, before[name]), name
+
     def test_load_separator_rebuilds_model(self, ckpt_path):
         cfg = tiny_model_config()
         model = Separator.build(cfg, seed=3)

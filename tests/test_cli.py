@@ -72,7 +72,10 @@ class TestTrain:
         ("data.level_db_lo = nan\n", "level_db_lo nan"),
         ("data.level_db_hi = 7000\n", "level_db_hi 7000.0"),
         ("train.lr = nan\n", "learning rate must be finite, got nan"),
-    ], ids=["empty_noise_band", "nan_level", "huge_level", "nan_lr"])
+        ("train.eps = nan\n", "eps must be positive and finite, got nan"),
+        ("train.eps = -1e-8\n", "eps must be positive and finite, got -1e-08"),
+    ], ids=["empty_noise_band", "nan_level", "huge_level", "nan_lr", "nan_eps",
+            "negative_eps"])
     def test_bad_setting_is_a_cli_error(self, config_file, capsys, edits, named):
         config_file.write_text(config_file.read_text() + edits)
         code = main(["train", str(config_file)])

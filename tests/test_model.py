@@ -5,6 +5,7 @@ import pytest
 from conftest import tiny_model_config
 
 import casep.tensor as T
+from casep import blocks
 from casep.blocks import AttentionRecorder
 from casep.codec import Waveform
 from casep.model import Separator, fit_length
@@ -157,6 +158,70 @@ class TestSeparate:
                                        ("inter", cfg.n_inter))
                     for i in range(count)}
         assert set(rec.maps) == expected
+
+
+class TestSlabs:
+    """Without graph recording, each layer runs its sequences in slabs."""
+
+    # 300 samples give 8 chunks of 8 frames, so the intra and the inter
+    # layers each see 8 sequences of length 8. Three sequences' (8, 64)
+    # float32 feed-forward pair fill this budget: slabs of 3, 3 and 2.
+    BUDGET = 3 * 2 * 8 * 64 * 4
+
+    @pytest.fixture
+    def weights(self, monkeypatch):
+        """The attention weights of every kernel call, in call order."""
+        calls = []
+        original = T.attention
+
+        def spy(q, k, v, scale):
+            out, probs = original(q, k, v, scale)
+            calls.append(probs)
+            return out, probs
+
+        monkeypatch.setattr(T, "attention", spy)
+        return calls
+
+    def wave(self):
+        return Waveform(np.random.default_rng(2).standard_normal(300)
+                        .astype(np.float32))
+
+    def test_separate_equals_one_slab_run(self, weights, monkeypatch):
+        model = tiny_model()
+        one_rec = AttentionRecorder()
+        one = model.separate(self.wave(), one_rec)
+        assert [w.shape[0] for w in weights] == [8, 8]
+        weights.clear()
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        rec = AttentionRecorder()
+        slabbed = model.separate(self.wave(), rec)
+        assert [w.shape[0] for w in weights] == [3, 3, 2, 3, 3, 2]
+        assert max(w.nbytes for w in weights) <= self.BUDGET
+        for got, want in zip(slabbed, one):
+            assert np.array_equal(got.samples, want.samples)
+        assert set(rec.maps) == set(one_rec.maps)
+        for key, grid in one_rec.maps.items():
+            assert np.array_equal(rec.maps[key], grid), key
+
+    def test_batched_forward_equals_one_slab_run(self, weights, monkeypatch):
+        model = tiny_model()
+        batch = Tensor(np.random.default_rng(3).standard_normal((2, 300))
+                       .astype(np.float32))
+        with no_grad():
+            one_est, one_masks = model.forward(batch)
+            weights.clear()
+            monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+            est, masks = model.forward(batch)
+        assert [w.shape[0] for w in weights] == [3] * 5 + [1] + [3] * 5 + [1]
+        for got, want in zip(est + masks, one_est + one_masks):
+            assert np.array_equal(got.data, want.data)
+
+    def test_recording_graph_takes_one_pass(self, weights, monkeypatch):
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        model = tiny_model()
+        est, _ = model.forward(Tensor(self.wave().samples))
+        assert est[0].requires_grad
+        assert [w.shape[0] for w in weights] == [8, 8]
 
 
 class TestParameterSets:

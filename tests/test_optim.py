@@ -104,6 +104,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Adam([("p", make_param([0.0]))], beta2=-0.1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_bad_eps(self, eps):
+        with pytest.raises(ConfigError, match=f"eps must be positive and finite, got {eps}"):
+            Adam([("p", make_param([0.0]))], eps=eps)
+
 
 class TestStateRoundTrip:
     def test_resume_is_bit_exact(self):
