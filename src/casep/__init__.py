@@ -14,7 +14,7 @@ from .nn import Linear, LayerNorm, Module, MultiHeadAttention, Parameter, PReLU
 from .optim import Adam
 from .chunking import overlap_add, segment
 from .codec import Decoder, Encoder, EncoderConfig, Waveform
-from .blocks import AttentionRecorder, DualPathBlock, HybridLayer, channel_split
+from .blocks import DualPathBlock, HybridLayer, channel_split
 from .config import (
     EvalSettings,
     ModelConfig,
@@ -50,7 +50,6 @@ from .training import (
 
 __all__ = [
     "Adam",
-    "AttentionRecorder",
     "ConfigError",
     "ContractError",
     "Decoder",

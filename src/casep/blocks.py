@@ -16,6 +16,7 @@ slabs sized to ``SLAB_BYTES``, so its (..., heads, T, T) scores and
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -48,20 +49,6 @@ def channel_split(h: Tensor, conv_channels: int, attn_channels: int):
     hc = h[..., :conv_channels]
     ha = h[..., conv_channels:]
     return hc, ha
-
-
-class AttentionRecorder:
-    """Collects attention weights keyed by (block, net, iteration).
-
-    Stored arrays keep the full (batch, heads, T, T) layout so callers can
-    pick a head and reduce over the batch axis themselves.
-    """
-
-    def __init__(self):
-        self.maps: dict[tuple[int, str, int], np.ndarray] = {}
-
-    def add(self, block: int, net: str, iteration: int, attn: np.ndarray) -> None:
-        self.maps[(block, net, iteration)] = attn
 
 
 class HybridLayer(Module):
@@ -114,19 +101,16 @@ class HybridLayer(Module):
 
     def __call__(self, h: Tensor, record=None) -> Tensor:
         """Without graph recording, runs the flattened (N, T, D) sequences
-        in slabs of ``_slab_size``; ``record`` still gets one full map."""
+        in slabs of ``_slab_size``. ``record``, if given, is called with
+        each slab's (k, heads, T, T) attention map."""
         lead, (length, width) = h.shape[:-2], h.shape[-2:]
         count = math.prod(lead)
         size = self._slab_size(length, h.dtype.itemsize)
         if T.grad_enabled() or size >= count:
             return self._body(h, record)
         flat = h.reshape((count, length, width))
-        maps = []
-        collect = None if record is None else maps.append
-        outs = [self._body(flat[i : i + size], collect)
+        outs = [self._body(flat[i : i + size], record)
                 for i in range(0, count, size)]
-        if maps:
-            record(np.concatenate(maps).reshape(lead + maps[0].shape[1:]))
         return T.concat(outs, axis=0).reshape(h.shape)
 
     def _body(self, h: Tensor, record) -> Tensor:
@@ -135,7 +119,7 @@ class HybridLayer(Module):
         if self.attn is not None:
             attn_out, weights = self.attention_path(ha)
             if record is not None:
-                record(weights)
+                record(weights.reshape((-1,) + weights.shape[-3:]))
             del weights  # frees the (..., T, T) map before the feed-forward
         else:
             attn_out = None
@@ -180,18 +164,14 @@ class DualPathBlock(Module):
     def _layer(self, net, i):
         return net if self.shared else net[i]
 
-    def __call__(self, h: Tensor, recorder: AttentionRecorder | None = None,
-                 block_index: int = 0) -> Tensor:
-        """(..., n_chunks, size, D) -> the same shape."""
+    def __call__(self, h: Tensor, record=None) -> Tensor:
+        """(..., n_chunks, size, D) -> the same shape. ``record``, if given,
+        is called as ``record(net, iteration, weights)`` per layer slab."""
         for i in range(self.n_intra):
-            record = None
-            if recorder is not None:
-                record = lambda w, i=i: recorder.add(block_index, "intra", i, w)
-            h = self._layer(self.intra, i)(h, record)
+            bound = None if record is None else partial(record, "intra", i)
+            h = self._layer(self.intra, i)(h, bound)
         h = T.swapaxes(h, -3, -2)            # (..., size, n_chunks, D)
         for i in range(self.n_inter):
-            record = None
-            if recorder is not None:
-                record = lambda w, i=i: recorder.add(block_index, "inter", i, w)
-            h = self._layer(self.inter, i)(h, record)
+            bound = None if record is None else partial(record, "inter", i)
+            h = self._layer(self.inter, i)(h, bound)
         return T.swapaxes(h, -3, -2)

@@ -148,4 +148,7 @@ def load_separator(path) -> tuple[Separator, dict[str, str]]:
     cfg, entries, tensors = load_checkpoint(path)
     model = Separator.build(cfg, 0)
     load_model_state(model, tensors)
+    for name, arr in model_state(model).items():
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"{path}: checkpoint weight {name} is non-finite")
     return model, entries

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ConfigError, ContractError, ShapeError, Tensor, _accum, \
-    _frames, _from_op, _overlap_sum
+    _frames, _from_op, _overlap_sum, frames
 
 
 def _hop(size: int) -> int:
@@ -35,13 +35,8 @@ def segment(x: Tensor, size: int) -> Tensor:
     hop = _hop(size)
     if x.data.ndim < 2:
         raise ShapeError(f"segment expects (..., frames, channels), got {x.shape}")
-    n_frames = x.shape[-2]
-    n_chunks = (padded_length(n_frames, size) - size) // hop + 1
-
-    def bwd(g):
-        _accum(x, _overlap_sum(g, hop, n_frames))
-
-    return _from_op(_frames(x.data, size, hop, n_chunks), (x,), bwd)
+    n_chunks = (padded_length(x.shape[-2], size) - size) // hop + 1
+    return frames(x, size, hop, n_chunks)
 
 
 def overlap_add(x: Tensor, n_frames: int) -> Tensor:

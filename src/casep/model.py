@@ -11,10 +11,12 @@ waveform.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import tensor as T
-from .blocks import AttentionRecorder, DualPathBlock
+from .blocks import DualPathBlock
 from .chunking import overlap_add, segment
 from .codec import Decoder, Encoder, Waveform
 from .config import ModelConfig
@@ -55,16 +57,18 @@ class Separator(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def masks_for(self, samples: Tensor,
-                  recorder: AttentionRecorder | None = None):
+    def masks_for(self, samples: Tensor, record=None):
         """Latent features plus one non-negative mask per speaker, each
-        (..., latent_frames, filters) for (..., n) samples."""
+        (..., latent_frames, filters) for (..., n) samples.
+
+        ``record``, if given, is called as ``record(block, net, iteration,
+        weights)`` with each (k, heads, T, T) slab of every attention map."""
         d, k = self.cfg.width, self.cfg.speakers
         latent = self.encoder(samples)
         pre = self.pre_linear(self.pre_norm(latent))
         h = segment(pre, self.cfg.chunk_size)
         for b, block in enumerate(self.blocks):
-            h = block(h, recorder, b)
+            h = block(h, None if record is None else partial(record, b))
         post = self.post_act(self.post_linear(h))
         flat = overlap_add(post, latent.shape[-2])     # (..., T_lat, D*K)
         masks = []
@@ -74,17 +78,15 @@ class Separator(Module):
             masks.append(T.relu(self.mask_out[s](hidden)))
         return latent, masks
 
-    def forward(self, samples: Tensor,
-                recorder: AttentionRecorder | None = None):
+    def forward(self, samples: Tensor, record=None):
         """Per-speaker waveform estimates (..., decoder length) and masks."""
-        latent, masks = self.masks_for(samples, recorder)
+        latent, masks = self.masks_for(samples, record)
         estimates = [self.decoder(m, latent) for m in masks]
         return estimates, masks
 
     # -- inference --------------------------------------------------------
 
-    def separate(self, wave: Waveform,
-                 recorder: AttentionRecorder | None = None) -> list[Waveform]:
+    def separate(self, wave: Waveform, record=None) -> list[Waveform]:
         """Run the frozen model; outputs are length-matched to the input."""
         if wave.sample_rate != self.cfg.sample_rate:
             raise ConfigError(
@@ -93,7 +95,7 @@ class Separator(Module):
             )
         with no_grad():
             x = Tensor(np.asarray(wave.samples, dtype=self.cfg.dtype))
-            estimates, _ = self.forward(x, recorder)
+            estimates, _ = self.forward(x, record)
         out = []
         for est in estimates:
             samples = fit_length(est.data, len(wave))

@@ -108,12 +108,12 @@ class ModuleList:
 
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng,
-                 bias: bool = True, dtype=np.float32):
+                 dtype=np.float32):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = linear_weight(rng, in_features, out_features, dtype)
-        self.bias = zeros_param((out_features,), dtype) if bias else None
+        self.bias = zeros_param((out_features,), dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)

@@ -173,12 +173,13 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        # interior grads are scratch; drop them so only leaves keep state
-        for node in topo:
+        # reverse topological order: no later node adds to an interior
+        # node's grad, so each is freed as soon as its backward has run
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
                 node.grad = None
                 node._parents = ()
                 node._backward = None

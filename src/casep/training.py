@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import AttentionRecorder
 from .checkpoint import load_checkpoint, load_model_state, load_separator, \
     model_state, save_checkpoint
 from .config import EvalSettings, ModelConfig, SyntheticSpec, config_hash, \
@@ -368,10 +367,15 @@ def dump_attention_run(ckpt_path: str, wav_path: str, selector_text: str,
         raise ConfigError(f"head {sel.head} out of range [0, {path_cfg.heads})")
 
     wav = read_wav(wav_path)
-    recorder = AttentionRecorder()
-    model.separate(wav, recorder)
-    raw = recorder.maps[(sel.block, sel.net, sel.iteration)]
-    grid = raw[:, sel.head].mean(axis=0)   # batch-averaged, stays row-stochastic
+    picked = []
+
+    def record(block, net, iteration, weights):
+        if (block, net, iteration) == (sel.block, sel.net, sel.iteration):
+            picked.append(weights[:, sel.head].copy())
+
+    model.separate(wav, record)
+    # averaged over the sequences, stays row-stochastic
+    grid = np.concatenate(picked).mean(axis=0)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     p = out / f"attention_b{sel.block}_{sel.net}_i{sel.iteration}_h{sel.head}.txt"

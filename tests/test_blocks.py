@@ -1,10 +1,13 @@
 """Hybrid attention+conv layer and the dual-path block."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from conftest import MapRecord
 
 import casep.tensor as T
-from casep.blocks import AttentionRecorder, DualPathBlock, HybridLayer, channel_split
+from casep.blocks import DualPathBlock, HybridLayer, channel_split
 from casep.chunking import segment
 from casep.config import PathConfig
 from casep.tensor import ConfigError, Tensor, no_grad
@@ -240,24 +243,29 @@ class TestDualPathBlock:
 
 
 class TestAttentionRecorder:
+    """The ``record`` callable a block passes each layer's attention map."""
+
     def test_keys_and_shapes(self, rng):
         block = DualPathBlock(path_cfg(), path_cfg(kernel=5), 2, 1, False,
                               np.random.default_rng(0))
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
-        rec = AttentionRecorder()
-        block(chunks, recorder=rec, block_index=3)
-        assert set(rec.maps) == {(3, "intra", 0), (3, "intra", 1),
-                                 (3, "inter", 0)}
+        rec = MapRecord()
+        block(chunks, partial(rec, 3))
+        assert set(rec.slabs) == {(3, "intra", 0), (3, "intra", 1),
+                                  (3, "inter", 0)}
+        assert all(len(slabs) == 1 for slabs in rec.slabs.values())
+        maps = rec.maps()
         n_chunks, size = chunks.shape[:2]
         # within-chunk maps span chunk frames, across-chunk maps span chunks
-        assert rec.maps[(3, "intra", 0)].shape == (n_chunks, 2, size, size)
-        assert rec.maps[(3, "inter", 0)].shape == (size, 2, n_chunks, n_chunks)
+        assert maps[(3, "intra", 0)].shape == (n_chunks, 2, size, size)
+        assert maps[(3, "inter", 0)].shape == (size, 2, n_chunks, n_chunks)
 
     def test_rows_sum_to_one(self, rng):
         block = DualPathBlock(path_cfg(), path_cfg(kernel=5), 1, 1, False,
                               np.random.default_rng(0))
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
-        rec = AttentionRecorder()
-        block(chunks, recorder=rec)
-        for grid in rec.maps.values():
+        rec = MapRecord()
+        block(chunks, rec)
+        assert set(rec.slabs) == {("intra", 0), ("inter", 0)}
+        for grid in rec.maps().values():
             assert np.allclose(grid.sum(axis=-1), 1.0, atol=1e-5)

@@ -141,7 +141,8 @@ class TestSeparate:
         save_checkpoint(trained, cfg, tensors)
         code = main(["separate", str(trained), str(mixture_wav),
                      str(tmp_path / "sep")])
-        assert "non-finite" in assert_one_line_error(code, capsys)
+        line = assert_one_line_error(code, capsys)
+        assert "checkpoint weight encoder.kernels is non-finite" in line
 
     def test_bad_wav_is_a_cli_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.wav"

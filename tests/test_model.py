@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
-from conftest import tiny_model_config
+from conftest import MapRecord, tiny_model_config
 
 import casep.tensor as T
 from casep import blocks
-from casep.blocks import AttentionRecorder
+from casep.blocks import HybridLayer
+from casep.checkpoint import model_state, save_checkpoint
 from casep.codec import Waveform
 from casep.model import Separator, fit_length
 from casep.tensor import ConfigError, Tensor, no_grad
+from casep.training import dump_attention_run
+from casep.wavio import write_wav
 
 
 def tiny_model(seed=0, **kwargs):
@@ -149,7 +152,7 @@ class TestSeparate:
 
     def test_recorder_collects_all_layers(self):
         model = tiny_model()
-        rec = AttentionRecorder()
+        rec = MapRecord()
         model.separate(Waveform(np.zeros(300, dtype=np.float32)), rec)
         cfg = model.cfg
         expected = {(b, net, i)
@@ -157,7 +160,7 @@ class TestSeparate:
                     for net, count in (("intra", cfg.n_intra),
                                        ("inter", cfg.n_inter))
                     for i in range(count)}
-        assert set(rec.maps) == expected
+        assert set(rec.slabs) == expected
 
 
 class TestSlabs:
@@ -188,33 +191,69 @@ class TestSlabs:
 
     def test_separate_equals_one_slab_run(self, weights, monkeypatch):
         model = tiny_model()
-        one_rec = AttentionRecorder()
+        one_rec = MapRecord()
         one = model.separate(self.wave(), one_rec)
         assert [w.shape[0] for w in weights] == [8, 8]
         weights.clear()
         monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-        rec = AttentionRecorder()
+        rec = MapRecord()
         slabbed = model.separate(self.wave(), rec)
         assert [w.shape[0] for w in weights] == [3, 3, 2, 3, 3, 2]
         assert max(w.nbytes for w in weights) <= self.BUDGET
         for got, want in zip(slabbed, one):
             assert np.array_equal(got.samples, want.samples)
-        assert set(rec.maps) == set(one_rec.maps)
-        for key, grid in one_rec.maps.items():
-            assert np.array_equal(rec.maps[key], grid), key
+        assert set(rec.slabs) == set(one_rec.slabs)
+        maps = rec.maps()
+        for key, grid in one_rec.maps().items():
+            assert np.array_equal(maps[key], grid), key
+
+    def test_dump_records_each_slab(self, monkeypatch, tmp_path):
+        model = tiny_model()
+        ckpt = tmp_path / "tiny.tsep"
+        save_checkpoint(ckpt, model.cfg, model_state(model))
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, self.wave())
+
+        def dump(name):
+            return dump_attention_run(str(ckpt), str(wav), "0:inter:0:1",
+                                      str(tmp_path / name)).read_bytes()
+
+        one = dump("one")
+        seen = []
+        original = HybridLayer.__call__
+
+        def spy(layer, h, record=None):
+            def check(weights):
+                seen.append(weights)
+                record(weights)
+            return original(layer, h, None if record is None else check)
+
+        monkeypatch.setattr(HybridLayer, "__call__", spy)
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        assert dump("slabbed") == one
+        # one call per slab, never a map joined across slabs
+        assert [w.shape[:2] for w in seen] == [(3, 2), (3, 2), (2, 2)] * 2
+        assert max(w.nbytes for w in seen) <= self.BUDGET
 
     def test_batched_forward_equals_one_slab_run(self, weights, monkeypatch):
         model = tiny_model()
         batch = Tensor(np.random.default_rng(3).standard_normal((2, 300))
                        .astype(np.float32))
+        one_rec, rec = MapRecord(), MapRecord()
         with no_grad():
-            one_est, one_masks = model.forward(batch)
+            one_est, one_masks = model.forward(batch, one_rec)
             weights.clear()
             monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-            est, masks = model.forward(batch)
+            est, masks = model.forward(batch, rec)
         assert [w.shape[0] for w in weights] == [3] * 5 + [1] + [3] * 5 + [1]
         for got, want in zip(est + masks, one_est + one_masks):
             assert np.array_equal(got.data, want.data)
+        # the one-pass run flattens its (2, 8) leading axes for ``record`` too
+        one_maps, maps = one_rec.maps(), rec.maps()
+        assert set(maps) == set(one_maps)
+        for key, grid in one_maps.items():
+            assert grid.shape == (16, 2, 8, 8)
+            assert np.array_equal(maps[key], grid), key
 
     def test_recording_graph_takes_one_pass(self, weights, monkeypatch):
         monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)

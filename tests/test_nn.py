@@ -32,25 +32,25 @@ class TestModuleRegistration:
             def __init__(self):
                 super().__init__()
                 self.layers = ModuleList(
-                    [Linear(2, 2, np.random.default_rng(i), bias=False)
-                     for i in range(2)]
+                    [Linear(2, 2, np.random.default_rng(i)) for i in range(2)]
                 )
 
         names = [n for n, _ in Stack().named_parameters()]
-        assert names == ["layers.0.weight", "layers.1.weight"]
+        assert names == ["layers.0.weight", "layers.0.bias",
+                         "layers.1.weight", "layers.1.bias"]
 
     def test_shared_submodule_deduplicated(self):
         class Tied(Module):
             def __init__(self):
                 super().__init__()
-                inner = Linear(3, 3, np.random.default_rng(0), bias=False)
+                inner = Linear(3, 3, np.random.default_rng(0))
                 self.a = inner
                 self.b = inner
 
         tied = Tied()
-        assert len(list(tied.named_parameters())) == 2   # both paths reported
-        assert len(tied.parameters()) == 1               # one storage
-        assert tied.param_count() == 9
+        assert len(list(tied.named_parameters())) == 4   # both paths reported
+        assert len(tied.parameters()) == 2               # one storage each
+        assert tied.param_count() == 12
 
     def test_zero_grad(self):
         lin = Linear(2, 2, np.random.default_rng(0))
@@ -65,11 +65,6 @@ class TestLinearModule:
         lin = Linear(4, 6, np.random.default_rng(0))
         out = lin(Tensor(np.zeros((2, 5, 4), dtype=np.float32)))
         assert out.shape == (2, 5, 6) and out.dtype == np.float32
-
-    def test_no_bias_variant(self):
-        lin = Linear(4, 6, np.random.default_rng(0), bias=False)
-        assert lin.bias is None
-        assert lin.param_count() == 24
 
     def test_init_bound(self):
         lin = Linear(100, 50, np.random.default_rng(0))

@@ -14,6 +14,8 @@ from casep.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    _accum,
+    _from_op,
     no_grad,
 )
 
@@ -47,6 +49,23 @@ class TestTensorBasics:
         with no_grad():
             out = t * 2.0
         assert not out.requires_grad
+
+    def test_walked_nodes_are_freed_during_backward(self):
+        # the probe's backward runs after its consumer's; by then the
+        # consumer must already have dropped its grad, parents and closure
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        seen = []
+
+        def bwd(g):
+            seen.append((loss.grad is None, loss._parents, loss._backward))
+            _accum(x, g)
+
+        probe = _from_op(x.data * 1.0, (x,), bwd)
+        loss = T.tsum(probe)
+        loss.backward()
+        assert seen == [(True, (), None)]
+        assert np.array_equal(x.grad, [1.0, 1.0])
+        assert probe.grad is None and probe._backward is None
 
     def test_unused_parameter_keeps_zero_grad(self):
         # unreachable parameters simply receive no contribution
