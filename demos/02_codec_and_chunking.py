@@ -34,10 +34,11 @@ print("chunked        ", chunks.shape, "(chunks, chunk, filters)")
 restored = overlap_add(chunks, latent.shape[0])
 print("round trip exact:", np.array_equal(restored.data, latent.data))
 
-# An all-ones mask passes the latent straight through the decoder. The
-# output length follows from the encoder geometry, not the input.
+# An all-ones mask passes the latent straight through the decoder. Masks
+# carry a speaker axis before the frame axis; here there is one speaker.
+# The output length follows from the encoder geometry, not the input.
 with no_grad():
-    out = decoder(Tensor(np.ones_like(latent.data)), latent)
-print("decoded samples", out.shape[0],
+    out = decoder(Tensor(np.ones((1,) + latent.shape, dtype=latent.dtype)), latent)
+print("decoded samples", out.shape[-1],
       "== decoder.output_length:",
-      out.shape[0] == decoder.output_length(latent.shape[0]))
+      out.shape[-1] == decoder.output_length(latent.shape[0]))

@@ -32,7 +32,7 @@ def sepconv_weight_params(kernel: int, width: int) -> int:
 
 def serial_block_params(width: int, kernel: int) -> int:
     """Full-width attention followed by full-width separable conv."""
-    return kernel * width + 5 * width * width
+    return attention_weight_params(width) + sepconv_weight_params(kernel, width)
 
 
 def parallel_block_params(width: int, kernel: int) -> int:
@@ -47,11 +47,8 @@ def parallel_block_params(width: int, kernel: int) -> int:
 
 def split_weight_params(attn_channels: int, conv_channels: int, kernel: int) -> int:
     """General channel split: 4*Da^2 + kernel*Dc + Dc^2 (weights only)."""
-    return (
-        4 * attn_channels * attn_channels
-        + kernel * conv_channels
-        + conv_channels * conv_channels
-    )
+    return attention_weight_params(attn_channels) + sepconv_weight_params(
+        kernel, conv_channels)
 
 
 def count_table(width: int, kernel: int) -> dict[str, int]:
@@ -70,8 +67,8 @@ def count_table(width: int, kernel: int) -> dict[str, int]:
 def layer_param_counts(cfg: PathConfig) -> dict[str, int]:
     """Everything one hybrid layer owns, split by component."""
     d, da, dc, f = cfg.width, cfg.attn_channels, cfg.conv_channels, cfg.ffn_dim
-    attention = 4 * da * da
-    conv_weights = cfg.kernel * dc + dc * dc if dc > 0 else 0
+    attention = attention_weight_params(da)
+    conv_weights = sepconv_weight_params(cfg.kernel, dc)
     conv_bias = dc
     norms = (2 * da if da > 0 else 0) + (2 * dc if dc > 0 else 0) + 2 * d
     ffn = d * f + f + f * d + d

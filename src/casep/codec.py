@@ -1,10 +1,10 @@
 """Waveform-to-latent encoder and mask-applying decoder.
 
 The encoder is a bias-free strided 1-D convolution followed by ReLU, so a
-zero waveform maps to an exactly zero latent. The decoder multiplies a
-non-negative mask into the latent and runs the matching transposed
-convolution (same kernel length and stride), also bias-free. Both run on
-``frames`` and its adjoint ``overlap_sum``.
+zero waveform maps to an exactly zero latent. The decoder multiplies each
+speaker's non-negative mask into the latent and runs the matching transposed
+convolution (same kernel length and stride), also bias-free, for all
+speakers in one pass. Both run on ``frames`` and its adjoint ``overlap_sum``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ class Encoder(Module):
 
 
 class Decoder(Module):
-    """Mask application, then windows overlap-added back to (..., n) samples."""
+    """Masks applied to one latent, then windows overlap-added back to
+    samples: (..., K, frames, filters) masks and a (..., frames, filters)
+    latent give (..., K, n), all K in one pass."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         super().__init__()
@@ -90,15 +92,17 @@ class Decoder(Module):
             length=cfg.kernel, dtype=dtype,
         )
 
-    def __call__(self, mask: Tensor, latent: Tensor) -> Tensor:
-        if mask.shape != latent.shape:
+    def __call__(self, masks: Tensor, latent: Tensor) -> Tensor:
+        if len(masks.shape) < 3 or masks.shape[:-3] + masks.shape[-2:] != latent.shape:
             raise ShapeError(
-                f"mask shape {mask.shape} must match latent {latent.shape}"
+                f"masks shape {masks.shape} must be latent {latent.shape} "
+                "with a speaker axis before the frame axis"
             )
         cfg = self.cfg
         kernels = self.kernels.reshape((cfg.filters, cfg.kernel))
-        pieces = T.mul(mask, latent) @ kernels           # (..., latent_frames, kernel)
-        n = self.output_length(mask.shape[-2])
+        latent = latent.reshape(latent.shape[:-2] + (1,) + latent.shape[-2:])
+        pieces = T.mul(masks, latent) @ kernels      # (..., K, latent_frames, kernel)
+        n = self.output_length(masks.shape[-2])
         out = T.overlap_sum(pieces.reshape(pieces.shape + (1,)), cfg.stride, n)
         return out.reshape(out.shape[:-1])
 

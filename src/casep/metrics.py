@@ -3,7 +3,7 @@
 ``si_snr`` is differentiable (a graph tensor, scalar for 1-D signals), so
 the permutation-invariant loss built on it can drive training directly.
 The improvement metrics (``improvements``: SI-SNRi and SDRi) are plain
-floats for reporting; SDRi uses an SNR on the unscaled residual, a
+float64 arrays for reporting; SDRi uses an SNR on the unscaled residual, a
 documented approximation of full distortion-ratio evaluation.
 """
 
@@ -18,10 +18,11 @@ from . import tensor as T
 from .tensor import ContractError, Tensor
 
 
-def _as_signal(x) -> Tensor:
+def _as_signal(x, axes: int = 1) -> Tensor:
+    """``x`` as a tensor of at least ``axes`` axes; the last one is time."""
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    if t.data.ndim < 1:
-        raise ContractError(f"expected a signal with a time axis, got shape {t.shape}")
+    if t.data.ndim < axes:
+        raise ContractError(f"expected at least {axes} signal axes, got shape {t.shape}")
     return t
 
 
@@ -80,28 +81,24 @@ class PitResult:
     per_pair: np.ndarray          # (..., K, K) floats, [est][target]
 
 
-def _stack(signals, axis: int) -> Tensor:
-    """K signals (..., n) as one tensor (..., 1, 1, n) with K along ``axis``."""
-    signals = [_as_signal(s) for s in signals]
-    return T.concat([s.reshape(s.shape[:-1] + (1, 1, s.shape[-1])) for s in signals],
-                    axis)
-
-
 def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
     """Best-permutation negative SI-SNR over all speaker assignments.
 
-    ``ests`` and ``targets`` hold K signals each, shaped (..., n). Each
+    ``ests`` and ``targets`` are (..., K, n): K signals per example. Each
     example along the leading axes gets its own assignment; the loss is
     their mean. ``permutation`` holds each example's assignment, (..., K).
     """
-    k = len(ests)
-    if len(targets) != k:
+    ests, targets = _as_signal(ests, 2), _as_signal(targets, 2)
+    k = ests.shape[-2]
+    if targets.shape[-2] != k:
         raise ContractError(
-            f"estimate count {k} != target count {len(targets)}"
+            f"estimate count {k} != target count {targets.shape[-2]}"
         )
     if k > 4:
         raise ContractError("exhaustive assignment search supports at most 4 speakers")
-    pair = si_snr(_stack(ests, -3), _stack(targets, -2), eps)   # (..., K, K)
+    pair = si_snr(ests.reshape(ests.shape[:-1] + (1, ests.shape[-1])),
+                  targets.reshape(targets.shape[:-2] + (1,) + targets.shape[-2:]),
+                  eps)                                          # (..., K, K)
     per_pair = pair.data.astype(np.float64)
     # max keeps the first of equal means
     best = np.array([max(permutations(range(k)),
@@ -112,13 +109,17 @@ def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
     return PitResult(loss, best.reshape(per_pair.shape[:-1]), per_pair)
 
 
-def improvements(ests, targets, mixture, eps: float = 1e-8) -> tuple[float, float]:
-    """Mean SI-SNR and SDR improvements of one mixture's 1-D estimates over
-    the raw mixture (dB), both under the one SI-SNR-optimal assignment."""
+def improvements(ests, targets, mixture, eps: float = 1e-8):
+    """SI-SNR and SDR improvements (dB) of (..., K, n) estimates over the
+    (..., n) mixtures, both under each example's SI-SNR-optimal assignment
+    and averaged over its K speakers: two float64 arrays shaped like the
+    leading axes."""
     pit = upit_loss(ests, targets, eps)
-    assigned = np.stack(targets)[pit.permutation]                  # (K, n)
-    chosen = pit.per_pair[np.arange(len(ests)), pit.permutation]
+    perm = pit.permutation[..., None]
+    assigned = np.take_along_axis(np.asarray(targets), perm, axis=-2)   # (..., K, n)
+    chosen = np.take_along_axis(pit.per_pair, perm, axis=-1)[..., 0]
+    mixture = np.asarray(mixture)[..., None, :]
     snri = chosen - si_snr(mixture, assigned, eps).data
-    sdri = np.subtract(sdr(np.stack(ests), assigned, eps).data,
+    sdri = np.subtract(sdr(ests, assigned, eps).data,
                        sdr(mixture, assigned, eps).data, dtype=np.float64)
-    return float(np.mean(snri)), float(np.mean(sdri))
+    return snri.mean(axis=-1), sdri.mean(axis=-1)

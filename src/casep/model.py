@@ -3,10 +3,10 @@
 The mask network runs on chunked latent features: normalize + project,
 segment into half-overlapping chunks, a stack of dual-path blocks, a
 projection to one channel group per speaker, overlap-add back to flat
-frames, and a per-speaker head that emits non-negative masks. Each mask
-gates the shared latent before its own decode pass. Every stage carries
-optional leading axes, so a (B, n) batch runs the same code as one (n,)
-waveform.
+frames, and a per-speaker head that emits non-negative masks. The K masks
+share one speaker axis: they gate the shared latent and decode in one
+pass. Every stage carries optional leading axes, so a (B, n) batch runs
+the same code as one (n,) waveform.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ class Separator(Module):
     # -- forward ----------------------------------------------------------
 
     def masks_for(self, samples: Tensor, record=None):
-        """Latent features plus one non-negative mask per speaker, each
-        (..., latent_frames, filters) for (..., n) samples.
+        """Latent features (..., latent_frames, filters) and the speakers'
+        non-negative masks (..., K, latent_frames, filters) for (..., n)
+        samples.
 
         ``record``, if given, is called as ``record(block, net, iteration,
         weights)`` with each (k, heads, T, T) slab of every attention map."""
-        d, k = self.cfg.width, self.cfg.speakers
+        d = self.cfg.width
         latent = self.encoder(samples)
         pre = self.pre_linear(self.pre_norm(latent))
         h = segment(pre, self.cfg.chunk_size)
@@ -72,17 +73,17 @@ class Separator(Module):
         post = self.post_act(self.post_linear(h))
         flat = overlap_add(post, latent.shape[-2])     # (..., T_lat, D*K)
         masks = []
-        for s in range(k):
+        for s in range(self.cfg.speakers):
             group = flat[..., s * d : (s + 1) * d]
             hidden = T.relu(self.mask_in[s](group))
-            masks.append(T.relu(self.mask_out[s](hidden)))
-        return latent, masks
+            mask = T.relu(self.mask_out[s](hidden))
+            masks.append(mask.reshape(mask.shape[:-2] + (1,) + mask.shape[-2:]))
+        return latent, T.concat(masks, -3)
 
-    def forward(self, samples: Tensor, record=None):
-        """Per-speaker waveform estimates (..., decoder length) and masks."""
+    def forward(self, samples: Tensor, record=None) -> Tensor:
+        """Waveform estimates (..., K, decoder length) for (..., n) samples."""
         latent, masks = self.masks_for(samples, record)
-        estimates = [self.decoder(m, latent) for m in masks]
-        return estimates, masks
+        return self.decoder(masks, latent)
 
     # -- inference --------------------------------------------------------
 
@@ -95,12 +96,9 @@ class Separator(Module):
             )
         with no_grad():
             x = Tensor(np.asarray(wave.samples, dtype=self.cfg.dtype))
-            estimates, _ = self.forward(x, record)
-        out = []
-        for est in estimates:
-            samples = fit_length(est.data, len(wave))
-            out.append(Waveform(samples, wave.sample_rate))
-        return out
+            estimates = self.forward(x, record).data
+        return [Waveform(fit_length(est, len(wave)), wave.sample_rate)
+                for est in estimates]
 
 
 def fit_length(samples: np.ndarray, target: int) -> np.ndarray:

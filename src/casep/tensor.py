@@ -330,11 +330,10 @@ def _norm_axes(axis, ndim):
         return None
     if isinstance(axis, int):
         axis = (axis,)
-    axes = tuple(ax % ndim for ax in axis)
-    for ax in axes:
-        if not 0 <= ax < ndim:
+    for ax in axis:
+        if not -ndim <= ax < ndim:
             raise ShapeError(f"axis {ax} out of range for ndim {ndim}")
-    return axes
+    return tuple(ax % ndim for ax in axis)
 
 
 def reshape(a, shape) -> Tensor:

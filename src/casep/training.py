@@ -36,23 +36,21 @@ def effective_spec(spec: SyntheticSpec, length_cap: int) -> SyntheticSpec:
 
 
 def mixture_arrays(spec: SyntheticSpec, indices, dtype):
-    """Stream examples ``indices`` (an int or a sequence) as the mixtures and
-    one array per source, each shaped ``np.shape(indices) + (length,)``."""
+    """Stream examples ``indices`` (an int or a sequence) as the mixtures,
+    ``np.shape(indices) + (length,)``, and their sources,
+    ``np.shape(indices) + (K, length)``."""
     mixes, sources = zip(*(gen_mixture(spec, int(i)) for i in np.ravel(indices)))
-    shape = np.shape(indices) + (spec.length,)
-
-    def stacked(waves):
-        return np.stack([w.samples for w in waves]).astype(dtype).reshape(shape)
-
-    return stacked(mixes), [stacked(s) for s in zip(*sources)]
+    shape = np.shape(indices)
+    mix = np.stack([m.samples for m in mixes]).astype(dtype)
+    src = np.array([[s.samples for s in group] for group in sources], dtype=dtype)
+    return mix.reshape(shape + mix.shape[1:]), src.reshape(shape + src.shape[1:])
 
 
-def example_loss(model: Separator, mix: np.ndarray, sources: list[np.ndarray]):
-    """Forward mixtures (..., n) and return their permutation-invariant loss."""
-    ests, _ = model.forward(Tensor(mix))
-    n = ests[0].shape[-1]
-    targets = [s[..., :n] for s in sources]
-    return upit_loss(ests, targets)
+def example_loss(model: Separator, mix: np.ndarray, sources: np.ndarray):
+    """Forward mixtures (..., n) and return their permutation-invariant loss
+    against the (..., K, n) sources."""
+    ests = model.forward(Tensor(mix))
+    return upit_loss(ests, sources[..., :ests.shape[-1]])
 
 
 def write_report(out_dir: Path, stem: str, text: str, kv: dict[str, str]) -> None:
@@ -258,11 +256,9 @@ def eval_model(model: Separator, spec: SyntheticSpec,
     with no_grad():
         for idx in range(settings.count):
             mix, sources = mixture_arrays(eval_spec, idx, dtype)
-            ests, _ = model.forward(Tensor(mix))
-            n = ests[0].shape[0]
-            est_arrs = [e.data for e in ests]
-            targets = [s[:n] for s in sources]
-            snri, sdri = improvements(est_arrs, targets, mix[:n])
+            ests = model.forward(Tensor(mix)).data
+            n = ests.shape[-1]
+            snri, sdri = improvements(ests, sources[..., :n], mix[..., :n])
             snri_vals.append(snri)
             sdri_vals.append(sdri)
     return EvalResult(
@@ -367,15 +363,19 @@ def dump_attention_run(ckpt_path: str, wav_path: str, selector_text: str,
         raise ConfigError(f"head {sel.head} out of range [0, {path_cfg.heads})")
 
     wav = read_wav(wav_path)
-    picked = []
+    total, count = 0.0, 0
 
     def record(block, net, iteration, weights):
+        nonlocal total, count
         if (block, net, iteration) == (sel.block, sel.net, sel.iteration):
-            picked.append(weights[:, sel.head].copy())
+            # one row at a time, in sequence order: np.mean's axis-0 sum
+            for row in weights[:, sel.head]:
+                total = total + row
+            count += len(weights)
 
     model.separate(wav, record)
     # averaged over the sequences, stays row-stochastic
-    grid = np.concatenate(picked).mean(axis=0)
+    grid = total / count
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     p = out / f"attention_b{sel.block}_{sel.net}_i{sel.iteration}_h{sel.head}.txt"

@@ -84,14 +84,17 @@ class TestDecoder:
         for t in (16, 24, 160, 8000):
             latent = enc(Tensor(np.random.default_rng(t)
                                 .standard_normal(t).astype(np.float32)))
-            mask = Tensor(np.ones(latent.shape, dtype=np.float32))
-            assert dec(mask, latent).shape == (t,)
+            mask = Tensor(np.ones((1,) + latent.shape, dtype=np.float32))
+            assert dec(mask, latent).shape == (1, t)
 
     def test_mask_shape_enforced(self, rng):
         cfg = EncoderConfig(filters=4, kernel=4, stride=2)
         dec = Decoder(cfg, rng)
         with pytest.raises(ShapeError):
-            dec(Tensor(np.ones((3, 4), dtype=np.float32)),
+            dec(Tensor(np.ones((2, 3, 4), dtype=np.float32)),
+                Tensor(np.ones((5, 4), dtype=np.float32)))
+        with pytest.raises(ShapeError):   # no speaker axis
+            dec(Tensor(np.ones((5, 4), dtype=np.float32)),
                 Tensor(np.ones((5, 4), dtype=np.float32)))
 
     def test_linear_in_mask(self, rng):
@@ -99,7 +102,7 @@ class TestDecoder:
         enc = Encoder(cfg, rng, dtype=np.float64)
         dec = Decoder(cfg, rng, dtype=np.float64)
         latent = enc(Tensor(rng.standard_normal(40)))
-        mask = Tensor(rng.uniform(0, 1, latent.shape))
+        mask = Tensor(rng.uniform(0, 1, (2,) + latent.shape))
         one = dec(mask, latent).data
         three = dec(Tensor(3.0 * mask.data), latent).data
         denom = np.maximum(np.abs(3.0 * one), 1e-6)
@@ -109,5 +112,16 @@ class TestDecoder:
         cfg = EncoderConfig(filters=8, kernel=4, stride=2)
         enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
         latent = enc(Tensor(rng.standard_normal(40).astype(np.float32)))
-        out = dec(Tensor(np.zeros(latent.shape, dtype=np.float32)), latent)
+        out = dec(Tensor(np.zeros((2,) + latent.shape, dtype=np.float32)), latent)
         assert np.all(out.data == 0.0)
+
+    def test_one_pass_equals_per_speaker_decoding(self, rng):
+        cfg = EncoderConfig(filters=8, kernel=4, stride=2)
+        enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
+        latent = enc(Tensor(rng.standard_normal((2, 40)).astype(np.float32)))
+        masks = rng.uniform(0, 1, (2, 3) + latent.shape[1:]).astype(np.float32)
+        out = dec(Tensor(masks), latent).data
+        assert out.shape == (2, 3, dec.output_length(latent.shape[-2]))
+        for s in range(3):
+            alone = dec(Tensor(masks[:, s : s + 1]), latent).data
+            assert np.array_equal(out[:, s], alone[:, 0]), s

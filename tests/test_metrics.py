@@ -159,13 +159,12 @@ class TestUpit:
         assert shuffled.loss.item() == pytest.approx(base.loss.item(), abs=1e-9)
 
     def test_batch_is_mean_of_examples(self, rng):
-        ests = [rng.standard_normal((4, 100)) for _ in range(3)]
-        targets = [rng.standard_normal((4, 100)) for _ in range(3)]
+        ests = rng.standard_normal((4, 3, 100))
+        targets = rng.standard_normal((4, 3, 100))
         # example 1 prefers a different assignment from its neighbours
-        targets[0][1] = ests[2][1] + 0.1 * rng.standard_normal(100)
+        targets[1, 0] = ests[1, 2] + 0.1 * rng.standard_normal(100)
         batched = upit_loss(ests, targets)
-        singles = [upit_loss([e[b] for e in ests], [t[b] for t in targets])
-                   for b in range(4)]
+        singles = [upit_loss(ests[b], targets[b]) for b in range(4)]
         assert batched.permutation.shape == (4, 3)
         assert np.array_equal(batched.permutation,
                               [s.permutation for s in singles])
@@ -184,37 +183,58 @@ class TestUpit:
             upit_loss(five, five)
 
     def test_loss_backpropagates_through_chosen_pairs(self, rng):
-        ests = [Tensor(rng.standard_normal(64), requires_grad=True)
-                for _ in range(2)]
-        targets = [rng.standard_normal(64) for _ in range(2)]
+        ests = Tensor(rng.standard_normal((3, 2, 64)), requires_grad=True)
+        targets = rng.standard_normal((3, 2, 64))
         upit_loss(ests, targets).loss.backward()
-        for e in ests:
-            assert e.grad is not None and np.any(e.grad != 0.0)
+        assert ests.grad is not None
+        assert np.all(np.any(ests.grad != 0.0, axis=-1))
+
+    def test_gradient_into_one_speaker_tensor(self, rng):
+        # each row gets -1/K of its chosen pair's SI-SNR gradient
+        ests = Tensor(rng.standard_normal((2, 64)), requires_grad=True)
+        targets = rng.standard_normal((2, 64))
+        result = upit_loss(ests, targets)
+        result.loss.backward()
+        assert ests.grad.shape == (2, 64)
+        for i, j in enumerate(result.permutation):
+            row = Tensor(ests.data[i], requires_grad=True)
+            si_snr(row, targets[j]).backward()
+            assert np.allclose(ests.grad[i], -row.grad / 2, rtol=1e-9, atol=1e-12)
 
 
 class TestImprovements:
     def test_mixture_as_estimate_gives_zero(self, rng):
-        targets = [rng.standard_normal(400) for _ in range(2)]
+        targets = rng.standard_normal((2, 400))
         mixture = targets[0] + targets[1]
-        snri, sdri = improvements([mixture, mixture], targets, mixture)
+        snri, sdri = improvements(np.stack([mixture, mixture]), targets, mixture)
         assert snri == pytest.approx(0.0, abs=1e-6)
         assert sdri == pytest.approx(0.0, abs=1e-6)
 
     def test_perfect_estimates_improve(self, rng):
-        targets = [rng.standard_normal(400) for _ in range(2)]
+        targets = rng.standard_normal((2, 400))
         mixture = targets[0] + targets[1]
-        snri, sdri = improvements(list(targets), targets, mixture)
+        snri, sdri = improvements(targets, targets, mixture)
         assert snri > 0.0 and sdri > 0.0
 
     def test_perfect_estimates_match_direct_evaluation(self, rng):
         # improvement must equal ceiling minus the mixture baseline, per pair
-        targets = [rng.standard_normal(400) for _ in range(2)]
+        targets = rng.standard_normal((2, 400))
         mixture = targets[0] + targets[1]
         expected = np.mean([
             si_snr(t, t).item() - si_snr(mixture, t).item() for t in targets
         ])
-        assert improvements(list(targets), targets, mixture)[0] == pytest.approx(
+        assert improvements(targets, targets, mixture)[0] == pytest.approx(
             expected, abs=1e-9)
+
+    def test_batch_rows_equal_single_mixtures(self, rng):
+        targets = rng.standard_normal((3, 2, 400))
+        mixtures = targets.sum(axis=1)
+        ests = targets[:, ::-1] + 0.3 * rng.standard_normal((3, 2, 400))
+        snri, sdri = improvements(ests, targets, mixtures)
+        assert snri.shape == sdri.shape == (3,)
+        for b in range(3):
+            one = improvements(ests[b], targets[b], mixtures[b])
+            assert (snri[b], sdri[b]) == one, b
 
 
 class TestSdr:

@@ -52,15 +52,12 @@ class TestMaskHead:
     def test_masks_non_negative(self):
         model = tiny_model()
         _, masks = model.masks_for(sample_input(model))
-        for m in masks:
-            assert np.all(m.data >= 0.0)
+        assert np.all(masks.data >= 0.0)
 
     def test_mask_count_and_shape(self):
         model = tiny_model(speakers=3)
         latent, masks = model.masks_for(sample_input(model))
-        assert len(masks) == 3
-        for m in masks:
-            assert m.shape == latent.shape
+        assert masks.shape == (3,) + latent.shape
 
     def test_speaker_slices_are_channel_blocks(self):
         # speaker s reads channels [s*D, (s+1)*D) of the post-processed map;
@@ -76,62 +73,62 @@ class TestMaskHead:
         model.post_linear.weight.data[:, :d] = 1.0      # speaker 0 channels only
         model.post_linear.bias.data[:] = 0.0
         _, masks = model.masks_for(sample_input(model))
-        assert np.any(masks[0].data > 0.0)
-        assert np.all(masks[1].data == 0.0)
+        assert np.any(masks.data[0] > 0.0)
+        assert np.all(masks.data[1] == 0.0)
 
 
 class TestForward:
     def test_estimate_count_and_length(self):
         model = tiny_model()
-        estimates, masks = model.forward(sample_input(model))
-        assert len(estimates) == 2 and len(masks) == 2
+        estimates = model.forward(sample_input(model))
+        _, masks = model.masks_for(sample_input(model))
+        assert masks.shape[0] == 2
         t_lat = model.cfg.encoder.latent_frames(256)
         expected = model.decoder.output_length(t_lat)
-        for est in estimates:
-            assert est.shape == (expected,)
+        assert estimates.shape == (2, expected)
 
     def test_batch_rows_equal_unbatched_forwards(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
         batch = rng.standard_normal((3, 256)).astype(model.cfg.dtype)
         with no_grad():
-            estimates, masks = model.forward(Tensor(batch))
+            estimates = model.forward(Tensor(batch)).data
+            _, masks = model.masks_for(Tensor(batch))
             for b in range(3):
-                single, single_masks = model.forward(Tensor(batch[b]))
-                for got, want in zip(estimates + masks, single + single_masks):
-                    scale = np.max(np.abs(want.data))
-                    assert np.max(np.abs(got.data[b] - want.data)) <= 1e-6 * scale
+                single = model.forward(Tensor(batch[b])).data
+                _, single_masks = model.masks_for(Tensor(batch[b]))
+                # each speaker's estimate and mask on its own scale
+                for got, want in zip([*estimates[b], *masks.data[b]],
+                                     [*single, *single_masks.data]):
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-6 * scale
 
     def test_outputs_finite(self):
         model = tiny_model()
-        estimates, _ = model.forward(sample_input(model))
-        for est in estimates:
-            assert np.all(np.isfinite(est.data))
+        estimates = model.forward(sample_input(model))
+        assert np.all(np.isfinite(estimates.data))
 
     def test_doubling_masks_doubles_estimates(self):
         model = tiny_model(precision="double")
         x = sample_input(model)
         with no_grad():
             latent, masks = model.masks_for(x)
-            singles = [model.decoder(m, latent).data for m in masks]
-            doubles = [model.decoder(Tensor(2.0 * m.data), latent).data
-                       for m in masks]
-        for one, two in zip(singles, doubles):
-            assert np.allclose(two, 2.0 * one, rtol=1e-9, atol=1e-12)
+            one = model.decoder(masks, latent).data
+            two = model.decoder(Tensor(2.0 * masks.data), latent).data
+        assert np.allclose(two, 2.0 * one, rtol=1e-9, atol=1e-12)
 
     def test_deterministic_per_seed(self):
         a = tiny_model(seed=11)
         b = tiny_model(seed=11)
         x = sample_input(a)
         with no_grad():
-            ea, _ = a.forward(x)
-            eb, _ = b.forward(x)
-        for u, v in zip(ea, eb):
-            assert np.array_equal(u.data, v.data)
+            ea = a.forward(x).data
+            eb = b.forward(x).data
+        assert np.array_equal(ea, eb)
         c = tiny_model(seed=12)
         with no_grad():
-            ec, _ = c.forward(x)
-        assert not np.array_equal(ea[0].data, ec[0].data)
+            ec = c.forward(x).data
+        assert not np.array_equal(ea[0], ec[0])
 
 
 class TestSeparate:
@@ -241,13 +238,15 @@ class TestSlabs:
                        .astype(np.float32))
         one_rec, rec = MapRecord(), MapRecord()
         with no_grad():
-            one_est, one_masks = model.forward(batch, one_rec)
+            one_est = model.forward(batch, one_rec)
+            _, one_masks = model.masks_for(batch)
             weights.clear()
             monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-            est, masks = model.forward(batch, rec)
-        assert [w.shape[0] for w in weights] == [3] * 5 + [1] + [3] * 5 + [1]
-        for got, want in zip(est + masks, one_est + one_masks):
-            assert np.array_equal(got.data, want.data)
+            est = model.forward(batch, rec)
+            assert [w.shape[0] for w in weights] == [3] * 5 + [1] + [3] * 5 + [1]
+            _, masks = model.masks_for(batch)
+        assert np.array_equal(est.data, one_est.data)
+        assert np.array_equal(masks.data, one_masks.data)
         # the one-pass run flattens its (2, 8) leading axes for ``record`` too
         one_maps, maps = one_rec.maps(), rec.maps()
         assert set(maps) == set(one_maps)
@@ -258,8 +257,8 @@ class TestSlabs:
     def test_recording_graph_takes_one_pass(self, weights, monkeypatch):
         monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
         model = tiny_model()
-        est, _ = model.forward(Tensor(self.wave().samples))
-        assert est[0].requires_grad
+        est = model.forward(Tensor(self.wave().samples))
+        assert est.requires_grad
         assert [w.shape[0] for w in weights] == [8, 8]
 
 

@@ -129,6 +129,18 @@ class TestShapeOps:
         with pytest.raises(ShapeError):
             T.concat([Tensor([1.0]), Tensor([2.0])], axis=3)
 
+    @pytest.mark.parametrize("axis", [2, 5, -3, -4, (0, 2)])
+    def test_reduction_axis_out_of_range(self, axis):
+        x = Tensor(np.ones((2, 3)))
+        for reduce in (T.tsum, T.tmean):
+            with pytest.raises(ShapeError):
+                reduce(x, axis=axis)
+
+    def test_reduction_negative_axes_in_range(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(T.tsum(Tensor(x), axis=-1).data, x.sum(axis=1))
+        assert np.array_equal(T.tmean(Tensor(x), axis=-2).data, x.mean(axis=0))
+
 
 class TestMatmul:
     def test_shapes_enforced(self):
