@@ -36,9 +36,10 @@ print("round trip exact:", np.array_equal(restored.data, latent.data))
 
 # An all-ones mask passes the latent straight through the decoder. Masks
 # carry a speaker axis before the frame axis; here there is one speaker.
-# The output length follows from the encoder geometry, not the input.
+# Like overlap-add, the decoder is told the sample count to return: the
+# input's, zero past the last window when the encoder's windows fall short.
 with no_grad():
-    out = decoder(Tensor(np.ones((1,) + latent.shape, dtype=latent.dtype)), latent)
+    out = decoder(Tensor(np.ones((1,) + latent.shape, dtype=latent.dtype)), latent,
+                  len(mixture))
 print("decoded samples", out.shape[-1],
-      "== decoder.output_length:",
-      out.shape[-1] == decoder.output_length(latent.shape[0]))
+      "== input samples:", out.shape[-1] == len(mixture))

@@ -81,8 +81,9 @@ class Encoder(Module):
 
 class Decoder(Module):
     """Masks applied to one latent, then windows overlap-added back to
-    samples: (..., K, frames, filters) masks and a (..., frames, filters)
-    latent give (..., K, n), all K in one pass."""
+    ``length`` samples, as ``overlap_add`` is given its frame count:
+    (..., K, frames, filters) masks and a (..., frames, filters) latent give
+    (..., K, length), all K in one pass, zero past the last window."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         super().__init__()
@@ -92,7 +93,7 @@ class Decoder(Module):
             length=cfg.kernel, dtype=dtype,
         )
 
-    def __call__(self, masks: Tensor, latent: Tensor) -> Tensor:
+    def __call__(self, masks: Tensor, latent: Tensor, length: int) -> Tensor:
         if len(masks.shape) < 3 or masks.shape[:-3] + masks.shape[-2:] != latent.shape:
             raise ShapeError(
                 f"masks shape {masks.shape} must be latent {latent.shape} "
@@ -102,9 +103,5 @@ class Decoder(Module):
         kernels = self.kernels.reshape((cfg.filters, cfg.kernel))
         latent = latent.reshape(latent.shape[:-2] + (1,) + latent.shape[-2:])
         pieces = T.mul(masks, latent) @ kernels      # (..., K, latent_frames, kernel)
-        n = self.output_length(masks.shape[-2])
-        out = T.overlap_sum(pieces.reshape(pieces.shape + (1,)), cfg.stride, n)
+        out = T.overlap_sum(pieces.reshape(pieces.shape + (1,)), cfg.stride, length)
         return out.reshape(out.shape[:-1])
-
-    def output_length(self, latent_frames: int) -> int:
-        return (latent_frames - 1) * self.cfg.stride + self.cfg.kernel

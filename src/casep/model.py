@@ -81,14 +81,15 @@ class Separator(Module):
         return latent, T.concat(masks, -3)
 
     def forward(self, samples: Tensor, record=None) -> Tensor:
-        """Waveform estimates (..., K, decoder length) for (..., n) samples."""
+        """Waveform estimates (..., K, n) for (..., n) samples. Samples past
+        the decoder's last window, fewer than one encoder stride, are zero."""
         latent, masks = self.masks_for(samples, record)
-        return self.decoder(masks, latent)
+        return self.decoder(masks, latent, samples.shape[-1])
 
     # -- inference --------------------------------------------------------
 
     def separate(self, wave: Waveform, record=None) -> list[Waveform]:
-        """Run the frozen model; outputs are length-matched to the input."""
+        """Run the frozen model: one waveform per speaker, as long as the input."""
         if wave.sample_rate != self.cfg.sample_rate:
             raise ConfigError(
                 f"waveform rate {wave.sample_rate} != model rate "
@@ -97,14 +98,4 @@ class Separator(Module):
         with no_grad():
             x = Tensor(np.asarray(wave.samples, dtype=self.cfg.dtype))
             estimates = self.forward(x, record).data
-        return [Waveform(fit_length(est, len(wave)), wave.sample_rate)
-                for est in estimates]
-
-
-def fit_length(samples: np.ndarray, target: int) -> np.ndarray:
-    """Trim or zero-pad a 1-D signal to exactly ``target`` samples."""
-    if samples.shape[0] >= target:
-        return samples[:target].copy()
-    out = np.zeros(target, dtype=samples.dtype)
-    out[: samples.shape[0]] = samples
-    return out
+        return [Waveform(est, wave.sample_rate) for est in estimates]

@@ -129,6 +129,9 @@ class Tensor:
     def __getitem__(self, idx):
         return take(self, idx)
 
+    # ``__getitem__`` alone would let ``a, b = t`` walk axis 0 silently
+    __iter__ = None
+
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis, keepdims)
 
@@ -348,11 +351,12 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes=None) -> Tensor:
     a = _wrap(a)
+    ndim = a.data.ndim
     if axes is None or len(axes) == 0:
-        axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
-    if len(axes) != a.data.ndim:
-        raise ShapeError(f"transpose axes {axes} do not match ndim {a.data.ndim}")
+        axes = tuple(reversed(range(ndim)))
+    axes = _norm_axes(tuple(axes), ndim)
+    if sorted(axes) != list(range(ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation of {ndim} axes")
     inverse = tuple(int(i) for i in np.argsort(axes))
 
     def bwd(g):
@@ -364,6 +368,7 @@ def transpose(a, axes=None) -> Tensor:
 def swapaxes(a, i: int, j: int) -> Tensor:
     """``transpose`` exchanging axes ``i`` and ``j``."""
     a = _wrap(a)
+    i, j = _norm_axes((i, j), a.data.ndim)
     axes = list(range(a.data.ndim))
     axes[i], axes[j] = axes[j], axes[i]
     return transpose(a, axes)

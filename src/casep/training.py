@@ -49,8 +49,7 @@ def mixture_arrays(spec: SyntheticSpec, indices, dtype):
 def example_loss(model: Separator, mix: np.ndarray, sources: np.ndarray):
     """Forward mixtures (..., n) and return their permutation-invariant loss
     against the (..., K, n) sources."""
-    ests = model.forward(Tensor(mix))
-    return upit_loss(ests, sources[..., :ests.shape[-1]])
+    return upit_loss(model.forward(Tensor(mix)), sources)
 
 
 def write_report(out_dir: Path, stem: str, text: str, kv: dict[str, str]) -> None:
@@ -111,7 +110,8 @@ def train_run(entries: dict[str, str], resume: str | None = None,
             echo(f"step {step:5d}  loss {value:+.3f}")
     wall = time.perf_counter() - t0
 
-    snri = eval_model(model, spec, EvalSettings(count=8, seed=spec.seed)).si_snri_mean
+    final = eval_model(model, spec, EvalSettings(count=8, seed=spec.seed))
+    snri = final.si_snri_mean
     ck_path = out_dir / "model.tsep"
     tensors = dict(model_state(model))
     tensors.update(opt.state_tensors())
@@ -129,6 +129,7 @@ def train_run(entries: dict[str, str], resume: str | None = None,
         f"  steps          {start_step} -> {settings.steps}",
         f"  final loss     {final_loss:+.4f}",
         f"  train SI-SNRi  {snri:+.2f} dB (first 8 stream mixtures)",
+        f"  train SDRi     {final.sdri_mean:+.2f} dB",
         f"  wall time      {wall:.1f} s",
         f"  config hash    {chash}",
         f"  checkpoint     {ck_path}",
@@ -138,6 +139,7 @@ def train_run(entries: dict[str, str], resume: str | None = None,
         "run.steps": str(settings.steps),
         "run.final_loss": f"{final_loss:.9f}",
         "run.train_si_snri_db": f"{snri:.6f}",
+        "run.train_sdri_db": f"{final.sdri_mean:.6f}",
         "run.wall_time_s": f"{wall:.3f}",
         "run.config_hash": chash,
         "run.checkpoint": str(ck_path),
@@ -257,8 +259,7 @@ def eval_model(model: Separator, spec: SyntheticSpec,
         for idx in range(settings.count):
             mix, sources = mixture_arrays(eval_spec, idx, dtype)
             ests = model.forward(Tensor(mix)).data
-            n = ests.shape[-1]
-            snri, sdri = improvements(ests, sources[..., :n], mix[..., :n])
+            snri, sdri = improvements(ests, sources, mix)
             snri_vals.append(snri)
             sdri_vals.append(sdri)
     return EvalResult(

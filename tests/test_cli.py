@@ -97,6 +97,18 @@ class TestSeparate:
             wav = read_wav(line)
             assert len(wav) == len(read_wav(mixture_wav))
 
+    def test_unaligned_wav_keeps_its_length(self, trained, tmp_path, capsys):
+        # kernel 4, stride 2: the decoder's windows cover 512 of 513 samples
+        mix, _ = gen_mixture(two_sine_spec(length=513), 0)
+        path = tmp_path / "odd.wav"
+        write_wav(path, Waveform(0.2 * mix.samples, 8000))
+        assert main(["separate", str(trained), str(path), str(tmp_path / "sep")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        for line in printed:
+            wav = read_wav(line)
+            assert len(wav) == 513 and wav.samples[-1] == 0.0
+
     def test_too_short_wav_is_a_cli_error(self, trained, tmp_path, capsys):
         short = tmp_path / "two_samples.wav"
         write_wav(short, Waveform(np.array([0.1, -0.1]), 8000))
@@ -158,6 +170,13 @@ class TestEval:
         out = capsys.readouterr().out
         assert "SI-SNRi" in out and "SDRi" in out
 
+    def test_unaligned_length(self, trained, config_file, tmp_path, capsys):
+        odd = tmp_path / "odd.cfg"
+        odd.write_text(config_file.read_text().replace(
+            "data.length = 512", "data.length = 513"))
+        assert main(["eval", str(trained), str(odd)]) == 0
+        assert "SI-SNRi" in capsys.readouterr().out
+
     def test_seed_clash_is_a_cli_error(self, trained, config_file, tmp_path,
                                        capsys):
         clash = tmp_path / "clash.cfg"
@@ -172,6 +191,16 @@ class TestGradCheck:
         cfg_path = tmp_path / "gc.cfg"
         cfg_path.write_text(SMOKE_CONFIG_TEXT.replace(
             "model.precision = single", "model.precision = double"))
+        assert main(["grad-check", str(cfg_path), "--coords", "40"]) == 0
+        out = capsys.readouterr().out
+        assert "gradient check: PASS" in out
+
+    def test_passes_on_unaligned_length(self, tmp_path, capsys):
+        # 513 samples: the loss also scores the one sample no window reaches
+        cfg_path = tmp_path / "gc.cfg"
+        cfg_path.write_text(SMOKE_CONFIG_TEXT.replace(
+            "model.precision = single", "model.precision = double").replace(
+            "data.length = 512", "data.length = 513"))
         assert main(["grad-check", str(cfg_path), "--coords", "40"]) == 0
         out = capsys.readouterr().out
         assert "gradient check: PASS" in out

@@ -71,12 +71,6 @@ class TestEncoder:
 
 
 class TestDecoder:
-    def test_output_length_formula(self, rng):
-        cfg = EncoderConfig(filters=4, kernel=16, stride=8)
-        dec = Decoder(cfg, rng)
-        assert dec.output_length(1) == 16
-        assert dec.output_length(10) == 9 * 8 + 16
-
     def test_length_round_trip(self, rng):
         # (T - kernel) divisible by stride: decode(encode) length == T
         cfg = EncoderConfig(filters=8, kernel=16, stride=8)
@@ -85,17 +79,32 @@ class TestDecoder:
             latent = enc(Tensor(np.random.default_rng(t)
                                 .standard_normal(t).astype(np.float32)))
             mask = Tensor(np.ones((1,) + latent.shape, dtype=np.float32))
-            assert dec(mask, latent).shape == (1, t)
+            assert dec(mask, latent, t).shape == (1, t)
+
+    @pytest.mark.parametrize("t", [41, 45, 47])
+    def test_unaligned_length_is_zero_past_last_window(self, rng, t):
+        # the windows cover (frames - 1) * stride + kernel samples; the rest
+        # of the requested length, fewer than stride samples, reads as zero
+        cfg = EncoderConfig(filters=8, kernel=16, stride=8)
+        enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
+        latent = enc(Tensor(rng.standard_normal(t).astype(np.float32)))
+        covered = (latent.shape[-2] - 1) * cfg.stride + cfg.kernel
+        assert 0 < t - covered < cfg.stride
+        masks = Tensor(rng.uniform(0, 1, (2,) + latent.shape).astype(np.float32))
+        out = dec(masks, latent, t).data
+        assert out.shape == (2, t)
+        assert np.array_equal(out[:, :covered], dec(masks, latent, covered).data)
+        assert np.all(out[:, covered:] == 0.0)
 
     def test_mask_shape_enforced(self, rng):
         cfg = EncoderConfig(filters=4, kernel=4, stride=2)
         dec = Decoder(cfg, rng)
         with pytest.raises(ShapeError):
             dec(Tensor(np.ones((2, 3, 4), dtype=np.float32)),
-                Tensor(np.ones((5, 4), dtype=np.float32)))
+                Tensor(np.ones((5, 4), dtype=np.float32)), 12)
         with pytest.raises(ShapeError):   # no speaker axis
             dec(Tensor(np.ones((5, 4), dtype=np.float32)),
-                Tensor(np.ones((5, 4), dtype=np.float32)))
+                Tensor(np.ones((5, 4), dtype=np.float32)), 12)
 
     def test_linear_in_mask(self, rng):
         cfg = EncoderConfig(filters=8, kernel=4, stride=2)
@@ -103,8 +112,8 @@ class TestDecoder:
         dec = Decoder(cfg, rng, dtype=np.float64)
         latent = enc(Tensor(rng.standard_normal(40)))
         mask = Tensor(rng.uniform(0, 1, (2,) + latent.shape))
-        one = dec(mask, latent).data
-        three = dec(Tensor(3.0 * mask.data), latent).data
+        one = dec(mask, latent, 40).data
+        three = dec(Tensor(3.0 * mask.data), latent, 40).data
         denom = np.maximum(np.abs(3.0 * one), 1e-6)
         assert np.max(np.abs(three - 3.0 * one) / denom) < 1e-6
 
@@ -112,7 +121,7 @@ class TestDecoder:
         cfg = EncoderConfig(filters=8, kernel=4, stride=2)
         enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
         latent = enc(Tensor(rng.standard_normal(40).astype(np.float32)))
-        out = dec(Tensor(np.zeros((2,) + latent.shape, dtype=np.float32)), latent)
+        out = dec(Tensor(np.zeros((2,) + latent.shape, dtype=np.float32)), latent, 40)
         assert np.all(out.data == 0.0)
 
     def test_one_pass_equals_per_speaker_decoding(self, rng):
@@ -120,8 +129,8 @@ class TestDecoder:
         enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
         latent = enc(Tensor(rng.standard_normal((2, 40)).astype(np.float32)))
         masks = rng.uniform(0, 1, (2, 3) + latent.shape[1:]).astype(np.float32)
-        out = dec(Tensor(masks), latent).data
-        assert out.shape == (2, 3, dec.output_length(latent.shape[-2]))
+        out = dec(Tensor(masks), latent, 40).data
+        assert out.shape == (2, 3, 40)
         for s in range(3):
-            alone = dec(Tensor(masks[:, s : s + 1]), latent).data
+            alone = dec(Tensor(masks[:, s : s + 1]), latent, 40).data
             assert np.array_equal(out[:, s], alone[:, 0]), s

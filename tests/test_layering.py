@@ -1,0 +1,49 @@
+"""Module boundaries: only ``tensor.py`` reaches the engine's private names."""
+
+import ast
+from pathlib import Path
+
+import casep
+
+SRC = Path(casep.__file__).parent
+
+# ``chunking.overlap_add`` is still its own graph node, built with the
+# engine's internals; perfbench's tracer test expects ``chunking._from_op``.
+ALLOWED = {"chunking.py": {"_accum", "_frames", "_from_op", "_overlap_sum"}}
+
+
+def private_tensor_names(tree: ast.Module) -> set[str]:
+    """Underscore names taken from ``.tensor``: imported from it, or read as
+    attributes of a ``from . import tensor`` binding."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module == "tensor" and alias.name.startswith("_"):
+                    names.add(alias.name)
+                elif node.module is None and alias.name == "tensor":
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_private_tensor_names_stay_in_tensor():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "tensor.py":
+            extra = (private_tensor_names(ast.parse(path.read_text()))
+                     - ALLOWED.get(path.name, set()))
+            if extra:
+                found[path.name] = sorted(extra)
+    assert found == {}
+
+
+def test_scanner_sees_both_import_forms():
+    tree = ast.parse("from .tensor import Tensor, _accum\n"
+                     "from . import tensor as T\n"
+                     "y = T._frames(x) + T.add(x, x)\n")
+    assert private_tensor_names(tree) == {"_accum", "_frames"}

@@ -9,7 +9,7 @@ from casep import blocks
 from casep.blocks import HybridLayer
 from casep.checkpoint import model_state, save_checkpoint
 from casep.codec import Waveform
-from casep.model import Separator, fit_length
+from casep.model import Separator
 from casep.tensor import ConfigError, Tensor, no_grad
 from casep.training import dump_attention_run
 from casep.wavio import write_wav
@@ -83,9 +83,7 @@ class TestForward:
         estimates = model.forward(sample_input(model))
         _, masks = model.masks_for(sample_input(model))
         assert masks.shape[0] == 2
-        t_lat = model.cfg.encoder.latent_frames(256)
-        expected = model.decoder.output_length(t_lat)
-        assert estimates.shape == (2, expected)
+        assert estimates.shape == (2, 256)
 
     def test_batch_rows_equal_unbatched_forwards(self):
         model = tiny_model()
@@ -103,6 +101,17 @@ class TestForward:
                     scale = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= 1e-6 * scale
 
+    # kernel 16, stride 8: 263 samples give 31 latent frames whose windows
+    # cover 256 samples, leaving 7 that no window reaches
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_unaligned_length_returned_with_zero_tail(self, lead):
+        model = tiny_model()
+        x = np.random.default_rng(4).standard_normal(lead + (263,))
+        estimates = model.forward(Tensor(x.astype(model.cfg.dtype))).data
+        assert estimates.shape == lead + (2, 263)
+        assert np.all(estimates[..., 256:] == 0.0)
+        assert np.all(np.any(estimates[..., :256] != 0.0, axis=-1))
+
     def test_outputs_finite(self):
         model = tiny_model()
         estimates = model.forward(sample_input(model))
@@ -113,8 +122,8 @@ class TestForward:
         x = sample_input(model)
         with no_grad():
             latent, masks = model.masks_for(x)
-            one = model.decoder(masks, latent).data
-            two = model.decoder(Tensor(2.0 * masks.data), latent).data
+            one = model.decoder(masks, latent, 256).data
+            two = model.decoder(Tensor(2.0 * masks.data), latent, 256).data
         assert np.allclose(two, 2.0 * one, rtol=1e-9, atol=1e-12)
 
     def test_deterministic_per_seed(self):
@@ -283,17 +292,3 @@ class TestParameterSets:
         shared_block = sum(p.size for p in shared.blocks[0].parameters())
         full_block = sum(p.size for p in full.blocks[0].parameters())
         assert full_block == 3 * shared_block
-
-
-class TestFitLength:
-    def test_trim(self):
-        out = fit_length(np.arange(10.0), 6)
-        assert np.array_equal(out, np.arange(6.0))
-
-    def test_pad(self):
-        out = fit_length(np.arange(4.0), 6)
-        assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 0.0, 0.0])
-
-    def test_exact(self):
-        x = np.arange(5.0)
-        assert np.array_equal(fit_length(x, 5), x)

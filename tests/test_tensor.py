@@ -135,6 +135,30 @@ class TestShapeOps:
         for reduce in (T.tsum, T.tmean):
             with pytest.raises(ShapeError):
                 reduce(x, axis=axis)
+        axes = axis if isinstance(axis, tuple) else (0, axis)
+        with pytest.raises(ShapeError):
+            T.swapaxes(x, *axes)
+        with pytest.raises(ShapeError):
+            T.transpose(x, axes)
+
+    @pytest.mark.parametrize("axes", [(0, 0), (1, 1), (0, -2), (0,), (1, 0, 2)])
+    def test_transpose_needs_a_permutation(self, axes):
+        with pytest.raises(ShapeError):
+            T.transpose(Tensor(np.ones((2, 3))), axes)
+
+    def test_negative_axes_permute_like_numpy(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        assert np.array_equal(T.transpose(Tensor(x), (-1, 0, -2)).data,
+                              x.transpose(2, 0, 1))
+        assert np.array_equal(T.swapaxes(Tensor(x), -1, 0).data,
+                              np.swapaxes(x, -1, 0))
+
+    def test_tensor_is_not_iterable(self):
+        x = Tensor(np.ones((2, 3)))
+        with pytest.raises(TypeError):
+            a, b = x
+        with pytest.raises(TypeError):
+            list(x)
 
     def test_reduction_negative_axes_in_range(self):
         x = np.arange(6.0).reshape(2, 3)

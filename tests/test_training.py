@@ -7,8 +7,8 @@ from conftest import smoke_entries, smoke_model_config, tiny_model_config, \
 
 import casep.tensor as T
 from casep import chunking
-from casep.checkpoint import load_checkpoint, model_state
-from casep.config import parse_flat
+from casep.checkpoint import load_checkpoint, load_separator, model_state
+from casep.config import EvalSettings, parse_flat, synthetic_spec_from_flat
 from casep.model import Separator
 from casep.nn import MultiHeadAttention
 from casep.tensor import ConfigError
@@ -16,6 +16,7 @@ from casep.training import (
     AttentionSelector,
     dump_attention_run,
     effective_spec,
+    eval_model,
     eval_run,
     example_loss,
     grad_check_report,
@@ -41,12 +42,21 @@ class TestTrainRun:
         assert logged == pytest.approx(result.losses, abs=1e-9)
 
     def test_report_kv_contents(self, tmp_path):
-        result = train_run(smoke_entries(tmp_path, steps=6))
+        entries = smoke_entries(tmp_path, steps=6)
+        result = train_run(entries)
         kv = parse_flat((tmp_path / "report.kv").read_text())
         assert kv["run.steps"] == "6"
         assert kv["run.config_hash"] == result.config_hash
         assert float(kv["run.final_loss"]) == pytest.approx(result.losses[-1],
                                                             abs=1e-9)
+        # the final pass over the first 8 training mixtures, reloaded
+        model, _ = load_separator(result.checkpoint_path)
+        spec = synthetic_spec_from_flat(entries, 2, 8000)
+        final = eval_model(model, spec, EvalSettings(count=8, seed=spec.seed))
+        assert kv["run.train_si_snri_db"] == f"{final.si_snri_mean:.6f}"
+        assert kv["run.train_sdri_db"] == f"{final.sdri_mean:.6f}"
+        text = (tmp_path / "report.txt").read_text()
+        assert f"train SDRi     {final.sdri_mean:+.2f} dB" in text
 
     def test_checkpoint_records_run_metadata(self, tmp_path):
         result = train_run(smoke_entries(tmp_path, steps=4))
