@@ -9,13 +9,29 @@ to a plain attention or conv layer of full width.
 
 Each chunk (within-chunk pass) and each frame position (across-chunk pass)
 is an independent sequence. Without graph recording, a layer runs them in
-slabs sized to ``SLAB_BYTES``, so its (..., heads, T, T) scores and
-(..., T, ffn_dim) hidden stay bounded however long the input is.
+slabs, so its (..., heads, T, T) scores and (..., T, ffn_dim) hidden stay
+bounded however long the input is:
+
+- The slabs run on ``worker_count()`` threads: the calling thread plus a
+  persistent pool, made on first use. The count is the number of CPUs in
+  the process's affinity mask divided by the BLAS thread count, read from
+  the first of ``BLAS_THREAD_VARS`` that is set (all CPUs when none is).
+  So BLAS left unpinned keeps one thread, and ``OPENBLAS_NUM_THREADS=1``
+  on two CPUs gives two; ``taskset -c 0`` restricts the count to one.
+- ``SLAB_BYTES`` bounds all slabs in flight together: each thread's slab
+  fits ``SLAB_BYTES // worker_count()``. A layer whose sequences fit that
+  budget takes one pass on the calling thread, as it always does while
+  recording a graph.
+- Each slab's output is written into its rows of one preallocated array.
+  The arithmetic does not depend on the slab size or the thread that ran
+  it, so outputs are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from functools import partial
 
 import numpy as np
@@ -34,9 +50,74 @@ from .nn import (
 from .tensor import ConfigError, Tensor
 
 
-# Bytes one slab's attention scores, and separately its feed-forward hidden
-# pair, may take in a layer run without graph recording.
+# Bytes the attention scores, and separately the feed-forward hidden pairs,
+# of all slabs in flight may take in a layer run without graph recording.
 SLAB_BYTES = 16 << 20
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def worker_count() -> int:
+    """Threads a layer run without graph recording spreads its slabs over:
+    the CPUs this process may run on divided by the BLAS thread count."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    value = next((v for v in map(os.environ.get, BLAS_THREAD_VARS) if v), "")
+    blas = int(value) if value.isdigit() and int(value) > 0 else cpus
+    return max(1, cpus // blas)
+
+
+_pool = None                      # (threads, executor), made on first use
+_pool_lock = threading.Lock()
+
+
+def _helpers(threads: int):
+    """The persistent pool of ``threads`` helper threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            # imported here: the module costs RSS that graph-recording runs,
+            # which never start a pool, should not pay
+            from concurrent.futures import ThreadPoolExecutor
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (threads, ThreadPoolExecutor(threads,
+                                                 thread_name_prefix="casep-slab"))
+        return _pool[1]
+
+
+def _run_slabs(run, starts, workers: int) -> None:
+    """Call ``run(start)`` once for each of ``starts`` on the calling thread
+    and up to ``workers - 1`` pool threads, each taking the next start when
+    it is free. Returns when every call has; the first error raised on the
+    calling thread, else in a helper, is raised here, and no start is
+    handed out after an error."""
+    todo = list(reversed(starts))
+
+    def drain():
+        while True:
+            try:
+                start = todo.pop()      # atomic: each start is taken once
+            except IndexError:
+                return
+            try:
+                run(start)
+            except BaseException:
+                todo.clear()
+                raise
+
+    n_helpers = min(workers, len(todo)) - 1
+    pool = _helpers(workers - 1) if n_helpers > 0 else None
+    helpers = [pool.submit(drain) for _ in range(n_helpers)]
+    try:
+        drain()
+    finally:
+        for f in helpers:
+            f.exception()               # waits for the helper to finish
+    for f in helpers:
+        f.result()
 
 
 def channel_split(h: Tensor, conv_channels: int, attn_channels: int):
@@ -91,27 +172,35 @@ class HybridLayer(Module):
         mixed = self.pointwise(T.swapaxes(dw, -2, -1))  # back to (..., T, C)
         return self.conv_norm(T.add(mixed, hc))
 
-    def _slab_size(self, length: int, itemsize: int) -> int:
+    def _slab_size(self, length: int, itemsize: int, budget: int) -> int:
         """The most sequences of ``length`` whose score map and whose
-        feed-forward pair each fit ``SLAB_BYTES``; at least one."""
+        feed-forward pair each fit ``budget`` bytes; at least one."""
         cfg = self.cfg
         scores = cfg.heads * length * length if self.attn is not None else 0
         per_sequence = max(scores, 2 * length * cfg.ffn_dim) * itemsize
-        return max(1, SLAB_BYTES // per_sequence)
+        return max(1, budget // per_sequence)
 
     def __call__(self, h: Tensor, record=None) -> Tensor:
         """Without graph recording, runs the flattened (N, T, D) sequences
-        in slabs of ``_slab_size``. ``record``, if given, is called with
-        each slab's (k, heads, T, T) attention map."""
+        in slabs on ``worker_count()`` threads. ``record``, if given, is
+        called with each slab's (k, heads, T, T) attention map, in sequence
+        order: it makes the layer run its slabs on the calling thread."""
         lead, (length, width) = h.shape[:-2], h.shape[-2:]
         count = math.prod(lead)
-        size = self._slab_size(length, h.dtype.itemsize)
-        if T.grad_enabled() or size >= count:
+        if T.grad_enabled():
+            return self._body(h, record)
+        workers = 1 if record is not None else worker_count()
+        size = self._slab_size(length, h.dtype.itemsize, SLAB_BYTES // workers)
+        if size >= count:
             return self._body(h, record)
         flat = h.reshape((count, length, width))
-        outs = [self._body(flat[i : i + size], record)
-                for i in range(0, count, size)]
-        return T.concat(outs, axis=0).reshape(h.shape)
+        out = np.empty((count, length, width), dtype=h.dtype)
+
+        def run(i):
+            out[i : i + size] = self._body(flat[i : i + size], record).data
+
+        _run_slabs(run, range(0, count, size), workers)
+        return Tensor(out.reshape(h.shape))
 
     def _body(self, h: Tensor, record) -> Tensor:
         cfg = self.cfg

@@ -15,6 +15,7 @@ original config file. Optimizer state rides along under reserved
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -37,38 +38,42 @@ def save_checkpoint(path, cfg: ModelConfig, tensors: dict[str, np.ndarray],
     if extra_entries:
         entries.update(extra_entries)
     config_blob = serialize_flat(entries).encode()
-    parts = [MAGIC, struct.pack("<I", VERSION),
-             struct.pack("<I", len(config_blob)), config_blob,
-             struct.pack("<I", len(tensors))]
-    for name, arr in tensors.items():
-        blob = name.encode()
-        # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-        arr = np.asarray(arr, dtype="<f4")
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
     # write a sibling file and rename it over the target, so an interrupted
     # save leaves the previous checkpoint intact
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(b"".join(parts))
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<II", VERSION, len(config_blob)))
+            f.write(config_blob)
+            f.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                blob = name.encode()
+                # asarray keeps a 0-d shape; the payload is the same bytes
+                arr = np.asarray(arr, dtype="<f4")
+                f.write(struct.pack(f"<I{len(blob)}sI{arr.ndim}I", len(blob), blob,
+                                    arr.ndim, *arr.shape))
+                f.write(np.ascontiguousarray(arr).data)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
 class _Reader:
-    """Reads the file once into a writable buffer; ``take`` returns views."""
+    """Maps the file once, copy-on-write; ``take`` returns views."""
 
     def __init__(self, path):
         self.path = path
-        # numpy's allocator asks for huge pages, so a large file takes a few
-        # hundred page faults instead of one per 4 KiB
-        self.blob = np.fromfile(path, dtype=np.uint8)
+        # a private mapping reads the page cache in place: no copy into fresh
+        # memory, whose page faults cost more than the copy, and writes to a
+        # view never reach the file
+        with open(path, "rb") as f:
+            if os.fstat(f.fileno()).st_size:
+                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+                self.blob = np.frombuffer(mapped, dtype=np.uint8)
+            else:
+                self.blob = np.zeros(0, dtype=np.uint8)
         self.view = memoryview(self.blob)
         self.pos = 0
 
@@ -92,7 +97,10 @@ class _Reader:
 def load_checkpoint(path):
     """Returns (ModelConfig, raw config entries, {name: float32 array}).
 
-    The arrays are writable views into one buffer holding the whole file."""
+    The arrays are writable views into one private mapping of the whole
+    file. Writes to them stay in this process. Like any mapped file, one
+    truncated in place while its arrays are alive faults when they are
+    read; ``save_checkpoint`` replaces a file by rename, which is safe."""
     r = _Reader(path)
     if r.take(4) != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint (bad magic)")
@@ -146,7 +154,7 @@ def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
 def load_separator(path) -> tuple[Separator, dict[str, str]]:
     """Rebuild the model a checkpoint stores: (model, raw config entries)."""
     cfg, entries, tensors = load_checkpoint(path)
-    model = Separator.build(cfg, 0)
+    model = Separator.build(cfg, seed=None)
     load_model_state(model, tensors)
     for name, arr in model_state(model).items():
         if not np.isfinite(arr).all():

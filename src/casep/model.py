@@ -11,13 +11,15 @@ the same code as one (n,) waveform.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
 
 from . import tensor as T
+from . import blocks
 from .blocks import DualPathBlock
-from .chunking import overlap_add, segment
+from .chunking import overlap_add_slabs, segment
 from .codec import Decoder, Encoder, Waveform
 from .config import ModelConfig
 from .nn import Linear, LayerNorm, Module, ModuleList, PReLU
@@ -52,8 +54,12 @@ class Separator(Module):
         self.decoder = Decoder(cfg.encoder, rng, dtype)
 
     @classmethod
-    def build(cls, cfg: ModelConfig, seed: int = 0) -> "Separator":
-        return cls(cfg, np.random.default_rng(np.random.SeedSequence((seed, 0))))
+    def build(cls, cfg: ModelConfig, seed: int | None = 0) -> "Separator":
+        """The model with weights drawn from ``seed``; with ``seed=None`` the
+        random weights are zeros, for a caller that loads every weight."""
+        rng = None if seed is None else np.random.default_rng(
+            np.random.SeedSequence((seed, 0)))
+        return cls(cfg, rng)
 
     # -- forward ----------------------------------------------------------
 
@@ -66,12 +72,16 @@ class Separator(Module):
         weights)`` with each (k, heads, T, T) slab of every attention map."""
         d = self.cfg.width
         latent = self.encoder(samples)
-        pre = self.pre_linear(self.pre_norm(latent))
-        h = segment(pre, self.cfg.chunk_size)
+        h = segment(self.pre_linear(self.pre_norm(latent)), self.cfg.chunk_size)
         for b, block in enumerate(self.blocks):
             h = block(h, None if record is None else partial(record, b))
-        post = self.post_act(self.post_linear(h))
-        flat = overlap_add(post, latent.shape[-2])     # (..., T_lat, D*K)
+        # without a graph, the (post_linear, prelu) pair of a slab of chunks
+        # fits SLAB_BYTES, like a hybrid layer's feed-forward pair
+        per_chunk = (2 * math.prod(h.shape[:-3]) * h.shape[-2]
+                     * self.post_linear.out_features * h.dtype.itemsize)
+        flat = overlap_add_slabs(h, latent.shape[-2],          # (..., T_lat, D*K)
+                                 lambda c: self.post_act(self.post_linear(c)),
+                                 max(1, blocks.SLAB_BYTES // per_chunk))
         masks = []
         for s in range(self.cfg.speakers):
             group = flat[..., s * d : (s + 1) * d]

@@ -17,7 +17,11 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
-def uniform_init(rng: np.random.Generator, shape, bound: float, dtype) -> np.ndarray:
+def uniform_init(rng: np.random.Generator | None, shape, bound: float,
+                 dtype) -> np.ndarray:
+    """Uniform in [-bound, bound); zeros, with no draw, when ``rng`` is None."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 

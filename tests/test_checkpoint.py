@@ -16,7 +16,7 @@ from casep.checkpoint import (
     model_state,
     save_checkpoint,
 )
-from casep.config import model_config_to_flat
+from casep.config import model_config_to_flat, serialize_flat
 from casep.model import Separator
 from casep.tensor import ConfigError
 
@@ -92,6 +92,17 @@ class TestRoundTrip:
         for name, arr in model_state(fresh).items():
             assert np.array_equal(arr, before[name]), name
 
+    def test_writes_to_loaded_arrays_stay_in_memory(self, ckpt_path):
+        cfg = tiny_model_config()
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
+        before = ckpt_path.read_bytes()
+        _, _, tensors = load_checkpoint(ckpt_path)
+        for arr in tensors.values():
+            arr[...] = np.nan
+        assert ckpt_path.read_bytes() == before
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=4)))
+        assert all(np.isnan(arr).all() for arr in tensors.values())
+
     def test_load_separator_rebuilds_model(self, ckpt_path):
         cfg = tiny_model_config()
         model = Separator.build(cfg, seed=3)
@@ -118,6 +129,33 @@ class TestRoundTrip:
         assert [p.name for p in ckpt_path.parent.iterdir()] == [ckpt_path.name]
         load_separator(ckpt_path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, ckpt_path):
+        cfg = tiny_model_config()
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
+        before = ckpt_path.read_bytes()
+        tensors = dict(model_state(Separator.build(cfg, seed=4)))
+        tensors["z.bad"] = np.array(["not a number"])   # fails after the others
+        with pytest.raises(ValueError):
+            save_checkpoint(ckpt_path, cfg, tensors)
+        assert ckpt_path.read_bytes() == before
+        assert [p.name for p in ckpt_path.parent.iterdir()] == [ckpt_path.name]
+
+    def test_load_separator_draws_no_weights(self, ckpt_path, monkeypatch):
+        cfg = tiny_model_config()
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
+        want = Separator.build(cfg, 0)
+        load_model_state(want, load_checkpoint(ckpt_path)[2])
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_separator drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded, _ = load_separator(ckpt_path)
+        got = model_state(loaded)
+        assert got.keys() == model_state(want).keys()
+        for name, arr in model_state(want).items():
+            assert got[name].dtype == arr.dtype and np.array_equal(got[name], arr), name
+
     def test_shared_weights_stored_once(self, ckpt_path):
         cfg = tiny_model_config(shared=True)
         cfg.n_intra = cfg.n_inter = 4
@@ -140,6 +178,23 @@ class TestLayoutDetails:
         _, _, tensors = load_checkpoint(ckpt_path)
         assert tensors["w"].dtype == np.float32
         assert np.array_equal(tensors["w"], arr.astype(np.float32))
+
+
+    def test_whole_file_layout(self, ckpt_path):
+        # the model's PReLU slope is a 0-d tensor: rank 0, no extents
+        cfg = tiny_model_config()
+        state = model_state(Separator.build(cfg, seed=3))
+        assert state["post_act.slope"].shape == ()
+        save_checkpoint(ckpt_path, cfg, state, {"trained.steps": "5"})
+        config = serialize_flat({**model_config_to_flat(cfg),
+                                 "trained.steps": "5"}).encode()
+        want = [MAGIC, struct.pack("<II", VERSION, len(config)), config,
+                struct.pack("<I", len(state))]
+        for name, arr in state.items():
+            want += [struct.pack("<I", len(name)), name.encode(),
+                     struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
+                     arr.astype("<f4").tobytes()]
+        assert ckpt_path.read_bytes() == b"".join(want)
 
 
 class TestErrorPaths:

@@ -1,11 +1,14 @@
 """Chunk segmentation and count-normalized overlap-add."""
 
+import weakref
+
 import numpy as np
 import pytest
 from conftest import fd_check
 
 import casep.tensor as T
-from casep.chunking import overlap_add, padded_length, segment
+from casep.chunking import overlap_add, overlap_add_slabs, padded_length, \
+    segment
 from casep.tensor import ConfigError, ContractError, ShapeError, Tensor
 
 
@@ -92,6 +95,53 @@ class TestOverlapAdd:
     def test_length_beyond_span_rejected(self):
         with pytest.raises(ContractError):
             overlap_add(Tensor(np.zeros((2, 4, 1))), 10)
+
+
+class TestOverlapAddSlabs:
+    """``overlap_add_slabs`` equals ``overlap_add(fn(x))`` bit for bit."""
+
+    @staticmethod
+    def widen(w):
+        # a per-chunk map that changes the channel count, like the mask head
+        return lambda c: T.relu(T.matmul(c, Tensor(w)))
+
+    def test_equals_one_pass_for_every_step(self, rng):
+        w = rng.standard_normal((3, 5)).astype(np.float32)
+        for t_lat in (1, 5, 16, 17, 31):
+            for lead in ((), (2,)):
+                x = segment(Tensor(rng.standard_normal(lead + (t_lat, 3))
+                                   .astype(np.float32)), 8)
+                want = overlap_add(self.widen(w)(x), t_lat).data
+                with T.no_grad():
+                    for step in range(1, x.shape[-3] + 1):
+                        got = overlap_add_slabs(x, t_lat, self.widen(w), step)
+                        assert np.array_equal(got.data, want), (t_lat, lead, step)
+
+    def test_one_slab_alive_at_a_time(self, rng):
+        x = segment(Tensor(rng.standard_normal((40, 3))), 4)   # 19 chunks
+        sizes, outputs = [], []
+
+        def fn(c):
+            # no earlier slab's output is alive when the next one is made
+            assert all(ref() is None for ref in outputs)
+            sizes.append(c.shape[0])
+            out = T.mul(c, 2.0)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        with T.no_grad():
+            overlap_add_slabs(x, 40, fn, 5)
+        assert sizes == [5, 5, 5, 4]
+
+    def test_recording_a_graph_takes_one_pass(self, rng):
+        x = Tensor(rng.standard_normal((5, 4, 2)), requires_grad=True)
+        calls = []
+        out = overlap_add_slabs(x, 10, lambda c: calls.append(c.shape) or c, 1)
+        assert calls == [(5, 4, 2)] and out.requires_grad
+
+    def test_length_beyond_span_rejected(self):
+        with T.no_grad(), pytest.raises(ContractError):
+            overlap_add_slabs(Tensor(np.zeros((2, 4, 1))), 10, lambda c: c, 1)
 
 
 class TestGradients:

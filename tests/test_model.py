@@ -1,5 +1,10 @@
 """Full separator assembly: preprocessing, block stack, mask head, decode."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from conftest import MapRecord, tiny_model_config
@@ -269,6 +274,147 @@ class TestSlabs:
         est = model.forward(Tensor(self.wave().samples))
         assert est.requires_grad
         assert [w.shape[0] for w in weights] == [8, 8]
+
+
+class TestSlabPool:
+    """With two workers, a layer run without graph recording spreads its
+    slabs over the calling thread and one pool thread."""
+
+    # Each worker's budget, half of it, holds one sequence's (8, 64)
+    # float32 feed-forward pair: eight slabs of one per layer.
+    BUDGET = 2 * 2 * 8 * 64 * 4
+
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(blocks, "worker_count", lambda: 2)
+
+    @staticmethod
+    def meet(monkeypatch, change=None):
+        """Spy on the layer body: returns the thread ident of every call.
+        Each of the first two threads waits at a barrier in its first
+        call, so both must run a slab; ``change(h)``, if given, replaces
+        the input of the pool thread's first slab."""
+        idents = []
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=30)
+        original = HybridLayer._body
+
+        def spy(layer, h, record):
+            ident = threading.get_ident()
+            first = ident not in idents
+            idents.append(ident)
+            if first and len(set(idents)) <= 2:
+                barrier.wait()
+                if change is not None and ident != caller:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        return original(layer, change(h), record)
+            return original(layer, h, record)
+
+        monkeypatch.setattr(HybridLayer, "_body", spy)
+        return idents
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def fail(threads):
+            raise AssertionError("a layer started the slab pool")
+
+        monkeypatch.setattr(blocks, "_helpers", fail)
+
+    def wave(self, n=300):
+        return Waveform(np.random.default_rng(2).standard_normal(n)
+                        .astype(np.float32))
+
+    def test_separate_equals_one_pass(self, two_workers, monkeypatch):
+        model = tiny_model()
+        one = model.separate(self.wave())
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        threads = self.meet(monkeypatch)
+        pooled = model.separate(self.wave())
+        assert len(threads) == 16 and len(set(threads)) == 2
+        for got, want in zip(pooled, one):
+            assert np.array_equal(got.samples, want.samples)
+
+    def test_batched_forward_equals_one_pass(self, two_workers, monkeypatch):
+        model = tiny_model()
+        batch = Tensor(np.random.default_rng(3).standard_normal((2, 300))
+                       .astype(np.float32))
+        with no_grad():
+            one = model.forward(batch).data
+            monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+            threads = self.meet(monkeypatch)
+            pooled = model.forward(batch).data
+        assert len(threads) == 32 and len(set(threads)) == 2
+        assert np.array_equal(pooled, one)
+
+    def test_record_runs_slabs_in_order_on_the_caller(self, two_workers, no_pool,
+                                                      monkeypatch):
+        model = tiny_model()
+        one_rec, rec = MapRecord(), MapRecord()
+        one = model.separate(self.wave(), one_rec)
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        got = model.separate(self.wave(), rec)
+        # the whole budget, not half: slabs of 2 as in a one-worker run
+        assert [len(v) for v in rec.slabs.values()] == [4, 4]
+        for a, b in zip(got, one):
+            assert np.array_equal(a.samples, b.samples)
+        for key, grid in one_rec.maps().items():
+            assert np.array_equal(rec.maps()[key], grid), key
+
+    def test_graph_and_small_inputs_start_no_pool(self, two_workers, no_pool,
+                                                  monkeypatch):
+        model = tiny_model()
+        model.separate(self.wave())   # fits one worker's budget
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        assert model.forward(Tensor(self.wave().samples)).requires_grad
+
+    def test_worker_error_reaches_caller(self, two_workers, monkeypatch):
+        model = tiny_model()
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        original = HybridLayer._body
+        # past float32 range after the first projection
+        self.meet(monkeypatch, lambda h: Tensor(np.full(h.shape, 3e38, h.dtype)))
+        with pytest.raises(T.NonFiniteError, match="linear produced"):
+            model.separate(self.wave())
+        monkeypatch.setattr(HybridLayer, "_body", original)
+        model.separate(self.wave())   # the pool still works
+
+    def test_each_slab_runs_once_under_contention(self):
+        # more workers than cores, each yielding after every call, with the
+        # interpreter switching threads as often as it can: a start handed
+        # out twice or lost shows here
+        ran = []
+
+        def run(start):
+            ran.append(start)
+            time.sleep(0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocks._run_slabs(run, range(2000), 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(2000))
+
+    @pytest.mark.parametrize("cpus, env, workers", [
+        (4, {}, 1),                                       # BLAS uses every CPU
+        (4, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+        (4, {"OMP_NUM_THREADS": "2"}, 2),
+        (4, {"MKL_NUM_THREADS": "3"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 4),
+        (4, {"MKL_NUM_THREADS": "many"}, 1),
+        (4, {"OMP_NUM_THREADS": "0"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),            # taskset -c 0
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+    ])
+    def test_worker_count_rule(self, monkeypatch, cpus, env, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for var in blocks.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert blocks.worker_count() == workers
 
 
 class TestParameterSets:
