@@ -19,9 +19,11 @@ bounded however long the input is:
   So BLAS left unpinned keeps one thread, and ``OPENBLAS_NUM_THREADS=1``
   on two CPUs gives two; ``taskset -c 0`` restricts the count to one.
 - ``SLAB_BYTES`` bounds all slabs in flight together: each thread's slab
-  fits ``SLAB_BYTES // worker_count()``. A layer whose sequences fit that
-  budget takes one pass on the calling thread, as it always does while
-  recording a graph.
+  fits ``SLAB_BYTES // worker_count()``. The sequences are cut into the
+  fewest slabs that fit, of even size: 250 sequences and room for 146 give
+  125 + 125, not 146 + 104. A layer whose sequences fit that budget takes
+  one pass on the calling thread, as it always does while recording a
+  graph.
 - Each slab's output is written into its rows of one preallocated array.
   The arithmetic does not depend on the slab size or the thread that ran
   it, so outputs are bit-identical for any worker count.
@@ -167,9 +169,7 @@ class HybridLayer(Module):
         return self.attn_norm(T.add(out, ha)), weights
 
     def conv_path(self, hc: Tensor) -> Tensor:
-        frames_last = T.swapaxes(hc, -2, -1)          # (..., C, T)
-        dw = T.depthwise_conv1d(frames_last, self.depthwise)
-        mixed = self.pointwise(T.swapaxes(dw, -2, -1))  # back to (..., T, C)
+        mixed = self.pointwise(T.depthwise_conv1d(hc, self.depthwise))
         return self.conv_norm(T.add(mixed, hc))
 
     def _slab_size(self, length: int, itemsize: int, budget: int) -> int:
@@ -193,6 +193,8 @@ class HybridLayer(Module):
         size = self._slab_size(length, h.dtype.itemsize, SLAB_BYTES // workers)
         if size >= count:
             return self._body(h, record)
+        slabs = -(-count // size)
+        size = -(-count // slabs)    # as many slabs, evened out
         flat = h.reshape((count, length, width))
         out = np.empty((count, length, width), dtype=h.dtype)
 

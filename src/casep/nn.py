@@ -83,8 +83,9 @@ class Module:
         return [p for _, p in unique_named(self.named_parameters())]
 
     def zero_grad(self) -> None:
+        """Drop every gradient; the next backward makes fresh ones."""
         for p in self.parameters():
-            p.grad = np.zeros_like(p.data)
+            p.grad = None
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -175,14 +176,6 @@ class MultiHeadAttention(Module):
             raise ShapeError(
                 f"attention input width {x.shape[-1]} != {self.width}"
             )
-        lead = x.shape[:-2]
-        t = x.shape[-2]
-
-        def heads(w):   # (..., T, H, d) -> (..., H, T, d)
-            z = T.linear(x, w).reshape(lead + (t, self.heads, self.head_dim))
-            return T.swapaxes(z, -3, -2)
-
-        ctx, weights = T.attention(heads(self.wq), heads(self.wk), heads(self.wv),
-                                   self.scale)
-        merged = T.swapaxes(ctx, -3, -2).reshape(lead + (t, self.width))
-        return T.linear(merged, self.wo), weights
+        ctx, weights = T.attention(T.linear(x, self.wq), T.linear(x, self.wk),
+                                   T.linear(x, self.wv), self.heads, self.scale)
+        return T.linear(ctx, self.wo), weights

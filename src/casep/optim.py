@@ -14,8 +14,10 @@ class Adam:
     """Keeps first/second moment per parameter, keyed by dotted path.
 
     The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with the epsilon
-    added outside the square root. State tensors share the parameter dtype
-    so checkpointed state round-trips exactly.
+    added outside the square root. Each moment is one flat buffer over all
+    parameters, and ``step`` runs the update once over it; ``_m[name]`` and
+    ``_v[name]`` are views of a parameter's share. State tensors share the
+    parameters' one dtype so checkpointed state round-trips exactly.
     """
 
     def __init__(self, named_params, lr: float = 1.5e-4,
@@ -32,29 +34,41 @@ class Adam:
         self.eps = eps
         self.step_count = 0
         self._entries = unique_named(named_params)
-        self._m = {name: np.zeros_like(p.data) for name, p in self._entries}
-        self._v = {name: np.zeros_like(p.data) for name, p in self._entries}
+        dtypes = {p.data.dtype for _, p in self._entries}
+        if len(dtypes) > 1:
+            raise ConfigError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        self._slices, total = [], 0
+        for _, p in self._entries:
+            self._slices.append(slice(total, total + p.size))
+            total += p.size
+        self._m_flat = np.zeros(total, dtype=dtypes.pop() if dtypes else np.float32)
+        self._v_flat = np.zeros_like(self._m_flat)
+        self._m = self._views(self._m_flat)
+        self._v = self._views(self._v_flat)
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[sl].reshape(p.data.shape)
+                for (name, p), sl in zip(self._entries, self._slices)}
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in self._entries:
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / p.data.dtype.type(bc1)
-            v_hat = v / p.data.dtype.type(bc2)
-            p.data -= p.data.dtype.type(self.lr) * m_hat / (
-                np.sqrt(v_hat) + p.data.dtype.type(self.eps)
-            )
+        dt = self._m_flat.dtype.type
+        g = np.empty_like(self._m_flat)
+        for (_, p), sl in zip(self._entries, self._slices):
+            g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        m, v = self._m_flat, self._v_flat
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        m_hat = m / dt(bc1)
+        v_hat = v / dt(bc2)
+        update = dt(self.lr) * m_hat / (np.sqrt(v_hat) + dt(self.eps))
+        for (_, p), sl in zip(self._entries, self._slices):
+            p.data -= update[sl].reshape(p.data.shape)
 
     # -- checkpoint integration ------------------------------------------
 
@@ -70,11 +84,12 @@ class Adam:
         missing = [k for k in self.state_tensors() if k not in tensors]
         if missing:
             raise ConfigError(f"checkpoint lacks optimizer state: {', '.join(missing[:3])}")
-        self.step_count = int(round(float(tensors["optim.step"][0])))
         for name, p in self._entries:
             m = tensors[f"optim.m.{name}"]
             v = tensors[f"optim.v.{name}"]
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ConfigError(f"optimizer state shape mismatch for {name}")
-            self._m[name] = m.astype(p.data.dtype)
-            self._v[name] = v.astype(p.data.dtype)
+        self.step_count = int(round(float(tensors["optim.step"][0])))
+        for name, _ in self._entries:
+            self._m[name][...] = tensors[f"optim.m.{name}"]
+            self._v[name][...] = tensors[f"optim.v.{name}"]

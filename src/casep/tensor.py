@@ -3,8 +3,13 @@
 Everything is backed by numpy arrays in float32 or float64. Each
 differentiable operation records a backward closure on its output; calling
 ``backward()`` on a scalar runs the closures in reverse topological order
-and accumulates gradients on every tensor that requires them. Every op
-output is checked for NaN/Inf.
+and accumulates gradients on every tensor that requires them.
+
+Finiteness is checked where values are made: on every ``Tensor(...)`` built
+from data, and on the output of every op except those in ``_UNCHECKED_OPS``,
+which only move, copy or clamp values they were given (``reshape``,
+``transpose``, ``take``, ``concat``, ``frames``, ``relu``). Their inputs
+were checked when made, so their outputs are finite too.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ def grad_enabled() -> bool:
 
 
 def _check_finite(arr: np.ndarray, op: str = "operation") -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -194,12 +199,19 @@ def _wrap(value, dtype=None) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+# ops whose outputs hold only values of their (finite) inputs, or zeros
+_UNCHECKED_OPS = frozenset({"reshape", "transpose", "take", "concat", "frames", "relu"})
+
+
 def _from_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Build an op output node. Package-internal extension point.
 
     ``backward`` is a closure named ``<op>.<locals>.bwd``; ``<op>`` names
-    the op in a non-finite error."""
-    _check_finite(data, backward.__qualname__.split(".", 1)[0])
+    the op in a non-finite error, and outputs of ``_UNCHECKED_OPS`` are not
+    checked."""
+    op = backward.__qualname__.split(".", 1)[0]
+    if op not in _UNCHECKED_OPS:
+        _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -218,11 +230,14 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to ``t`` (no-op unless it needs one)."""
     if not t.requires_grad:
         return
-    if g.dtype != t.data.dtype:
-        g = g.astype(t.data.dtype)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, never ``g`` itself: ``add`` hands one ``g`` to both
+        # operands. ``empty_like`` takes ``t.data``'s memory order, so later
+        # reductions over the grad sum in the same order whatever ``g``'s was
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g, casting="same_kind")
+    else:
+        t.grad += g.astype(t.grad.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -455,46 +470,61 @@ def prelu(a, slope) -> Tensor:
     return _from_op(pick(a.data, scaled, out=scaled), (a, slope), bwd)
 
 
-def attention(q, k, v, scale: float):
-    """Scaled dot-product attention over the last two axes as one node.
+def attention(q, k, v, heads: int, scale: float):
+    """Multi-head scaled dot-product attention as one node.
 
-    q (..., Tq, d), k (..., Tk, d), v (..., Tk, dv) with equal leading
-    axes. Returns the context (..., Tq, dv) and the attention weights
-    (..., Tq, Tk) as a plain array outside the graph; the weights' rows sum
-    to one. The softmax runs in place on the one score buffer the node owns.
-    The context node's finiteness check covers the weights too: a NaN or
-    Inf in the scores reaches the context through the max-shift.
+    q (..., Tq, H*d), k (..., Tk, H*d), v (..., Tk, H*dv) with equal
+    leading axes; head h owns columns [h*d, (h+1)*d). Returns the context
+    (..., Tq, H*dv), heads laid side by side again, and the attention
+    weights (..., H, Tq, Tk) as a plain array outside the graph; the
+    weights' rows sum to one. The softmax runs in place on the one score
+    buffer the node owns. The context node's finiteness check covers the
+    weights too: a NaN or Inf in the scores reaches the context through
+    the max-shift.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if heads < 1:
+        raise ConfigError(f"attention needs at least one head, got {heads}")
     if q.data.ndim < 2 or q.data.ndim != k.data.ndim or k.data.ndim != v.data.ndim:
         raise ShapeError("attention operands must share ndim >= 2")
     if (q.data.shape[:-2] != k.data.shape[:-2] or k.data.shape[:-1] != v.data.shape[:-1]
-            or q.data.shape[-1] != k.data.shape[-1]):
+            or q.data.shape[-1] != k.data.shape[-1]
+            or q.data.shape[-1] % heads or v.data.shape[-1] % heads):
         raise ShapeError(
-            f"attention shapes do not match: q {q.data.shape}, k {k.data.shape}, "
-            f"v {v.data.shape}"
+            f"attention shapes do not match {heads} heads: q {q.data.shape}, "
+            f"k {k.data.shape}, v {v.data.shape}"
         )
-    probs = q.data @ np.swapaxes(k.data, -1, -2)
+
+    def split(a):   # (..., T, H*d) -> C-contiguous (..., H, T, d)
+        a = a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads))
+        return np.ascontiguousarray(np.swapaxes(a, -3, -2))
+
+    def merge(a):   # (..., H, T, d) -> (..., T, H*d)
+        return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    probs = qh @ np.swapaxes(kh, -1, -2)
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
 
     def bwd(g):
+        g = split(g)
         if v.requires_grad:
-            _accum(v, np.swapaxes(probs, -1, -2) @ g)
+            _accum(v, merge(np.swapaxes(probs, -1, -2) @ g))
         if q.requires_grad or k.requires_grad:
             # softmax backward on d(probs), in place
-            gs = g @ np.swapaxes(v.data, -1, -2)
+            gs = g @ np.swapaxes(vh, -1, -2)
             gs -= (gs * probs).sum(axis=-1, keepdims=True)
             gs *= probs
             gs *= scale
             if q.requires_grad:
-                _accum(q, gs @ k.data)
+                _accum(q, merge(gs @ kh))
             if k.requires_grad:
-                _accum(k, np.swapaxes(gs, -1, -2) @ q.data)
+                _accum(k, merge(np.swapaxes(gs, -1, -2) @ qh))
 
-    return _from_op(probs @ v.data, (q, k, v), bwd), probs
+    return _from_op(merge(probs @ vh), (q, k, v), bwd), probs
 
 
 # -- linear map -----------------------------------------------------------
@@ -600,7 +630,8 @@ def overlap_sum(f, hop: int, length: int) -> Tensor:
 
 
 def depthwise_conv1d(x, kernels) -> Tensor:
-    """Per-channel same-length convolution: (..., C, T) -> (..., C, T).
+    """Per-channel same-length convolution along axis -2: (..., T, C) ->
+    (..., T, C).
 
     Kernel length must be odd; the input is zero-padded by (L-1)/2 per side.
     Channel c sees only kernel row c, with no cross-channel mixing.
@@ -611,25 +642,34 @@ def depthwise_conv1d(x, kernels) -> Tensor:
     channels, length = kernels.data.shape
     if length % 2 == 0:
         raise ConfigError(f"depthwise kernel length must be odd, got {length}")
-    if x.data.ndim < 2 or x.data.shape[-2] != channels:
+    if x.data.ndim < 2 or x.data.shape[-1] != channels:
         raise ShapeError(
             f"depthwise input channels {x.data.shape} incompatible with (C={channels}, L)"
         )
-    t = x.data.shape[-1]
+    t = x.data.shape[-2]
     pad = (length - 1) // 2
-    xp = np.pad(x.data.reshape((-1, channels, t)), ((0, 0), (0, 0), (pad, pad)))
+
+    def channels_first(a):   # (..., T, C) -> C-contiguous (B, C, T)
+        return np.ascontiguousarray(np.swapaxes(a.reshape((-1, t, channels)), -1, -2))
+
+    def channels_last(a):    # (B, C, T) -> C-contiguous (..., T, C)
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2)).reshape(x.data.shape)
+
+    # contiguous before padding: np.pad keeps its input's memory order, and
+    # the einsums' summation order follows the window view's strides
+    xp = np.pad(channels_first(x.data), ((0, 0), (0, 0), (pad, pad)))
     win = sliding_window_view(xp, length, axis=-1)
-    out_data = np.einsum("bctl,cl->bct", win, kernels.data).reshape(x.data.shape)
+    out_data = channels_last(np.einsum("bctl,cl->bct", win, kernels.data))
 
     def bwd(g):
-        gf = g.reshape((-1, channels, t))
+        gf = channels_first(g)
         if kernels.requires_grad:
             _accum(kernels, np.einsum("bctl,bct->cl", win, gf))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for off in range(length):
                 gxp[:, :, off : off + t] += gf * kernels.data[:, off][:, None]
-            _accum(x, gxp[:, :, pad : pad + t].reshape(x.data.shape))
+            _accum(x, channels_last(gxp[:, :, pad : pad + t]))
 
     return _from_op(out_data, (x, kernels), bwd)
 

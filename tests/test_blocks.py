@@ -116,12 +116,11 @@ class TestHybridLayer:
         assert np.all(np.isfinite(out.data))
 
     def test_forward_node_count(self, rng, monkeypatch):
-        # one node per fused op. Attention path: 3 projections, 3 head splits
-        # of a reshape and a transpose each, attention, a transpose and a
-        # reshape to merge heads, the output projection, residual add and
-        # norm (15). Conv path: transpose, depthwise, transpose, pointwise,
-        # add, norm (6). Split (2 takes), concat, then linear, relu, linear,
-        # add, norm (5).
+        # one node per fused op. Attention path: 3 projections, attention
+        # (which splits and merges the heads itself), the output projection,
+        # residual add and norm (7). Conv path: depthwise, pointwise, add,
+        # norm (4). Split (2 takes), concat, then linear, relu, linear, add,
+        # norm (8).
         nodes = []
         original = T._from_op
 
@@ -131,7 +130,7 @@ class TestHybridLayer:
 
         monkeypatch.setattr(T, "_from_op", counting)
         make_layer()(Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32)))
-        assert len(nodes) == 29, nodes
+        assert len(nodes) == 19, nodes
 
     def test_published_layer_counts(self):
         # mid-size layer: 4 * 128^2 attention weights, 51*128 + 128^2 conv

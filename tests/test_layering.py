@@ -1,9 +1,11 @@
 """Module boundaries: only ``tensor.py`` reaches the engine's private names."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import casep
+from casep import tensor
 
 SRC = Path(casep.__file__).parent
 
@@ -47,3 +49,12 @@ def test_scanner_sees_both_import_forms():
                      "from . import tensor as T\n"
                      "y = T._frames(x) + T.add(x, x)\n")
     assert private_tensor_names(tree) == {"_accum", "_frames"}
+
+
+def test_from_op_takes_three_positional_arguments():
+    # perfbench's tracer and the node-count tests wrap ``_from_op`` with
+    # ``def f(data, parents, backward)``; another parameter would break them
+    params = inspect.signature(tensor._from_op).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("data", "parents", "backward")]

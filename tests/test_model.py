@@ -188,8 +188,8 @@ class TestSlabs:
         calls = []
         original = T.attention
 
-        def spy(q, k, v, scale):
-            out, probs = original(q, k, v, scale)
+        def spy(q, k, v, heads, scale):
+            out, probs = original(q, k, v, heads, scale)
             calls.append(probs)
             return out, probs
 
@@ -217,6 +217,15 @@ class TestSlabs:
         maps = rec.maps()
         for key, grid in one_rec.maps().items():
             assert np.array_equal(maps[key], grid), key
+
+    @pytest.mark.parametrize("fit", [5, 6, 7])
+    def test_slabs_share_sequences_evenly(self, weights, monkeypatch, fit):
+        # room for 5, 6 or 7 of a layer's 8 sequences: two slabs of 4 each,
+        # not one full slab and the rest
+        monkeypatch.setattr(blocks, "worker_count", lambda: 1)
+        monkeypatch.setattr(blocks, "SLAB_BYTES", fit * self.BUDGET // 3)
+        tiny_model().separate(self.wave())
+        assert [w.shape[0] for w in weights] == [4, 4, 4, 4]
 
     def test_dump_records_each_slab(self, monkeypatch, tmp_path):
         model = tiny_model()

@@ -54,10 +54,17 @@ class TestModuleRegistration:
 
     def test_zero_grad(self):
         lin = Linear(2, 2, np.random.default_rng(0))
-        T.tsum(lin(Tensor(np.ones((1, 2), dtype=np.float32)))).backward()
-        assert np.any(lin.weight.grad != 0.0)
+
+        def backward():
+            T.tsum(lin(Tensor(np.ones((1, 2), dtype=np.float32)))).backward()
+
+        backward()
+        first = lin.weight.grad.copy()
+        assert np.any(first != 0.0)
         lin.zero_grad()
-        assert np.all(lin.weight.grad == 0.0)
+        assert lin.weight.grad is None and lin.bias.grad is None
+        backward()
+        assert np.array_equal(lin.weight.grad, first)   # not added to the old one
 
 
 class TestLinearModule:

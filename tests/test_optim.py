@@ -156,3 +156,76 @@ class TestStateRoundTrip:
         }
         with pytest.raises(ConfigError):
             opt.load_state(bad)
+
+
+def per_parameter_step(state, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step a parameter at a time: the reference for the flat one."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for data, grad, m, v in state:
+        g = np.zeros_like(data) if grad is None else grad
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / data.dtype.type(bc1)
+        v_hat = v / data.dtype.type(bc2)
+        data -= data.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + data.dtype.type(eps))
+
+
+class TestFlatUpdate:
+    """One update over flat moment buffers equals the per-parameter one."""
+
+    SHAPES = {"a.w": (3, 4), "a.slope": (), "b.w": (5,), "c.k": (2, 1, 3)}
+
+    def named(self):
+        rng = np.random.default_rng(8)
+        return [(name, Parameter(rng.standard_normal(shape).astype(np.float32)))
+                for name, shape in self.SHAPES.items()]
+
+    @staticmethod
+    def grad(step, name, p):
+        if name == "b.w" and step % 2 == 0:
+            return None
+        rng = np.random.default_rng((step, len(name)))
+        return rng.standard_normal(p.data.shape).astype(np.float32)
+
+    def run(self, named, opt, ref, steps):
+        """Steps both the optimizer and the per-parameter reference ``ref``,
+        {name: [data, m, v]}, and checks they agree bit for bit."""
+        for step in steps:
+            for name, p in named:
+                p.grad = self.grad(step, name, p)
+            opt.step()
+            per_parameter_step([(d, self.grad(step, n, d), m, v)
+                                for n, (d, m, v) in ref.items()], step, lr=0.01)
+            state = opt.state_tensors()
+            for name, p in named:
+                data, m, v = ref[name]
+                assert p.data.tobytes() == data.tobytes(), (step, name)
+                assert state[f"optim.m.{name}"].tobytes() == m.tobytes()
+                assert state[f"optim.v.{name}"].tobytes() == v.tobytes()
+
+    def test_matches_per_parameter_formula_then_resumes(self):
+        named = self.named()
+        ref = {name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)]
+               for name, p in named}
+        params = [p for _, p in named]
+        opt = Adam(named, lr=0.01)
+        self.run(named, opt, ref, range(1, 6))
+        assert all(p is q for (_, p), q in zip(named, params))   # not rebound
+        state = {k: v.copy() for k, v in opt.state_tensors().items()}
+        assert set(state) == {"optim.step"} | {f"optim.{s}.{name}" for name in
+                                               self.SHAPES for s in "mv"}
+        assert all(state[f"optim.m.{n}"].shape == s for n, s in self.SHAPES.items())
+
+        resumed = [(name, Parameter(p.data.copy())) for name, p in named]
+        fresh = Adam(resumed, lr=0.01)
+        fresh.load_state(state)
+        assert fresh.step_count == 5
+        self.run(resumed, fresh, ref, range(6, 9))
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ConfigError, match="one dtype"):
+            Adam([("a", make_param([0.0], np.float32)),
+                  ("b", make_param([0.0], np.float64))])

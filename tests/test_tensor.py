@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casep.tensor as T
+from casep.chunking import overlap_add
 from casep.codec import Encoder, EncoderConfig
 from casep.tensor import (
     ConfigError,
@@ -323,7 +324,7 @@ class TestFramingProperties:
 
 class TestDepthwiseConv1d:
     def test_delta_kernel_is_identity(self):
-        x = np.random.default_rng(13).standard_normal((3, 7))
+        x = np.random.default_rng(13).standard_normal((7, 3))
         k = np.zeros((3, 5))
         k[:, 2] = 1.0
         out = T.depthwise_conv1d(Tensor(x), Tensor(k))
@@ -331,29 +332,51 @@ class TestDepthwiseConv1d:
 
     def test_hand_padded_convolution(self):
         # hand oracle: [1,2,3] with ones kernel, one zero pad each side
-        out = T.depthwise_conv1d(Tensor([[1.0, 2.0, 3.0]]),
+        out = T.depthwise_conv1d(Tensor([[1.0], [2.0], [3.0]]),
                                  Tensor([[1.0, 1.0, 1.0]]))
-        assert np.array_equal(out.data, [[3.0, 6.0, 5.0]])
+        assert np.array_equal(out.data, [[3.0], [6.0], [5.0]])
 
     def test_channels_independent(self):
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((2, 9))
+        x = rng.standard_normal((9, 2))
         k = rng.standard_normal((2, 3))
         base = T.depthwise_conv1d(Tensor(x), Tensor(k)).data
         x2 = x.copy()
-        x2[1] = 0.0
+        x2[:, 1] = 0.0
         zeroed = T.depthwise_conv1d(Tensor(x2), Tensor(k)).data
-        assert np.array_equal(base[0], zeroed[0])
-        assert np.all(zeroed[1] == 0.0)
+        assert np.array_equal(base[:, 0], zeroed[:, 0])
+        assert np.all(zeroed[:, 1] == 0.0)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            T.depthwise_conv1d(Tensor(np.ones((2, 6))), Tensor(np.ones((2, 4))))
+            T.depthwise_conv1d(Tensor(np.ones((6, 2))), Tensor(np.ones((2, 4))))
+
+    def test_channel_axis_is_last(self):
+        with pytest.raises(ShapeError):
+            T.depthwise_conv1d(Tensor(np.ones((2, 6))), Tensor(np.ones((2, 3))))
+
+    def test_one_sequence_equals_its_row_of_a_batch(self):
+        # bit for bit, as slabbed inference needs; a single (1, T, C)
+        # sequence swapped to channels-first is not C-contiguous, and
+        # padding that view would make the einsum sum in another order
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 8, 8)).astype(np.float32)
+        k = rng.standard_normal((8, 5)).astype(np.float32)
+        seed = rng.standard_normal((3, 8, 8)).astype(np.float32)
+
+        def run(rows):
+            xt, kt = Tensor(x[rows], requires_grad=True), Tensor(k, requires_grad=True)
+            out = T.depthwise_conv1d(xt, kt)
+            T.tsum(T.mul(out, seed[rows])).backward()
+            return out.data[0], xt.grad[0]
+
+        for got, want in zip(run(slice(0, 1)), run(slice(None))):
+            assert got.tobytes() == want.tobytes()
 
     def test_gradients_batched(self):
         rng = np.random.default_rng(15)
         fd_check(T.depthwise_conv1d,
-                 [rng.standard_normal((2, 3, 7)), rng.standard_normal((3, 3))])
+                 [rng.standard_normal((2, 7, 3)), rng.standard_normal((3, 3))])
 
 
 class TestLayerNorm:
@@ -434,34 +457,70 @@ def unfused_attention(q, k, v, scale):
     return probs @ v, probs
 
 
+def merge_heads(a):
+    """(..., H, T, d) -> (..., T, H*d)."""
+    return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
+
+
 class TestAttention:
     def test_equal_scores_give_uniform_weights(self):
         q = Tensor(np.zeros((2, 3, 4)))
         kv = Tensor(np.random.default_rng(24).standard_normal((2, 5, 4)))
-        out, weights = T.attention(q, kv, kv, 0.5)
+        out, weights = T.attention(q, kv, kv, 1, 0.5)
+        assert weights.shape == (2, 1, 3, 5)
         assert np.allclose(weights, 1.0 / 5.0)
         assert np.allclose(out.data, kv.data.mean(axis=-2, keepdims=True))
 
     @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_rows_sum_to_one(self, dtype, atol):
+        # (batch 3, heads 2, length 6, head width 4), heads side by side
         rng = np.random.default_rng(21)
         q, k, v = (rng.standard_normal((3, 2, 6, 4)).astype(dtype) for _ in range(3))
-        out, weights = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5)
+        out, weights = T.attention(Tensor(merge_heads(q)), Tensor(merge_heads(k)),
+                                   Tensor(merge_heads(v)), 2, 0.5)
         assert out.dtype == dtype and weights.dtype == dtype
+        assert out.shape == (3, 6, 8) and weights.shape == (3, 2, 6, 6)
         assert np.all(weights >= 0.0)
         assert np.allclose(weights.sum(axis=-1), 1.0, atol=atol)
         ref_out, ref_probs = unfused_attention(q, k, v, dtype(0.5))
         assert np.allclose(weights, ref_probs, atol=atol)
-        assert np.allclose(out.data, ref_out, atol=10 * atol)
+        assert np.allclose(out.data, merge_heads(ref_out), atol=10 * atol)
+
+    def test_heads_inside_equal_heads_split_by_graph_nodes(self):
+        # the node's own head split and merge against reshape and swapaxes
+        # nodes around a one-head call, bit for bit, forward and backward
+        rng = np.random.default_rng(26)
+        arrays = [rng.standard_normal((2, 5, 6)).astype(np.float32) for _ in range(3)]
+        seed = rng.standard_normal((2, 5, 6)).astype(np.float32)
+
+        def run(fused):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            if fused:
+                out, weights = T.attention(q, k, v, 3, 0.7)
+            else:
+                def split(a):
+                    return T.swapaxes(a.reshape((2, 5, 3, 2)), -3, -2)
+                ctx, weights = T.attention(split(q), split(k), split(v), 1, 0.7)
+                out = T.swapaxes(ctx, -3, -2).reshape((2, 5, 6))
+                weights = weights[:, :, 0]
+            T.tsum(T.mul(out, seed)).backward()
+            return [out.data, weights] + [t.grad for t in (q, k, v)]
+
+        for got, want in zip(run(True), run(False)):
+            assert got.tobytes() == want.tobytes()
 
     def test_shapes_checked(self):
         a = Tensor(np.zeros((2, 3, 4)))
         with pytest.raises(ShapeError):
-            T.attention(Tensor(np.zeros((3, 4))), a, a, 1.0)      # ndim differs
+            T.attention(Tensor(np.zeros((3, 4))), a, a, 1, 1.0)      # ndim differs
         with pytest.raises(ShapeError):
-            T.attention(a, Tensor(np.zeros((2, 3, 5))), a, 1.0)   # width differs
+            T.attention(a, Tensor(np.zeros((2, 3, 5))), a, 1, 1.0)   # width differs
         with pytest.raises(ShapeError):
-            T.attention(a, a, Tensor(np.zeros((2, 2, 4))), 1.0)   # length differs
+            T.attention(a, a, Tensor(np.zeros((2, 2, 4))), 1, 1.0)   # length differs
+        with pytest.raises(ShapeError):
+            T.attention(a, a, a, 3, 1.0)              # width not a multiple of heads
+        with pytest.raises(ConfigError):
+            T.attention(a, a, a, 0, 1.0)
 
     def test_inf_score_raises_naming_attention(self):
         # finite operands whose scores overflow to +Inf; the weights are a
@@ -469,15 +528,53 @@ class TestAttention:
         big = Tensor(np.full((1, 2, 2), 1e200))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="attention"):
-                T.attention(big, big, Tensor(np.ones((1, 2, 2))), 1.0)
+                T.attention(big, big, Tensor(np.ones((1, 2, 2))), 1, 1.0)
 
     def test_gradients_with_leading_axes_and_heads(self):
-        # (batch 2, heads 3, length 4, head width 2); keys longer than queries
+        # batch 2, 3 heads of width 2 (values 3), keys longer than queries
         rng = np.random.default_rng(25)
-        fd_check(lambda q, k, v: T.attention(q, k, v, 0.7)[0],
-                 [rng.standard_normal((2, 3, 4, 2)),
-                  rng.standard_normal((2, 3, 5, 2)),
-                  rng.standard_normal((2, 3, 5, 3))])
+        fd_check(lambda q, k, v: T.attention(q, k, v, 3, 0.7)[0],
+                 [rng.standard_normal((2, 4, 6)),
+                  rng.standard_normal((2, 5, 6)),
+                  rng.standard_normal((2, 5, 9))])
+
+
+BIG = np.full((2, 2), 3e38, dtype=np.float32)   # finite; twice it is not
+
+
+class TestFinitenessRule:
+    """Op outputs are checked where values are made, not where they move."""
+
+    def test_exempt_ops_only_move_copy_or_clamp(self):
+        assert T._UNCHECKED_OPS == {"reshape", "transpose", "take", "concat",
+                                    "frames", "relu"}
+
+    @pytest.mark.parametrize("op, make", [
+        ("add", lambda: T.add(Tensor(BIG), Tensor(BIG))),
+        ("sub", lambda: T.sub(Tensor(BIG), Tensor(-BIG))),
+        ("mul", lambda: T.mul(Tensor(BIG), Tensor(BIG))),
+        ("div", lambda: T.div(Tensor([1.0]), Tensor([0.0]))),
+        ("log", lambda: T.log(Tensor([0.0]))),
+        ("tsum", lambda: T.tsum(Tensor(BIG))),
+        ("matmul", lambda: T.matmul(Tensor(BIG), Tensor(BIG))),
+        ("linear", lambda: T.linear(Tensor(BIG), Tensor(np.ones((2, 1), np.float32)))),
+        ("attention", lambda: T.attention(Tensor(BIG[None]), Tensor(BIG[None]),
+                                          Tensor(BIG[None]), 1, 1.0)),
+        ("depthwise_conv1d",
+         lambda: T.depthwise_conv1d(Tensor(BIG), Tensor(np.ones((2, 3), np.float32)))),
+        ("overlap_sum", lambda: T.overlap_sum(Tensor(BIG[..., None]), 1, 3)),
+        ("overlap_add", lambda: overlap_add(Tensor(BIG[..., None]), 3)),
+    ])
+    def test_checked_op_names_itself(self, op, make):
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteError, match=f"^{op} produced a non-finite value"):
+            make()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_cannot_enter_the_graph(self, bad):
+        # so every input of an exempt op was checked when it was made
+        with pytest.raises(NonFiniteError):
+            Tensor(np.array([1.0, bad], dtype=np.float32))
 
 
 class TestBackward:
@@ -493,6 +590,17 @@ class TestBackward:
         y = T.add(T.mul(w, 3.0), T.mul(w, 4.0))
         y.backward()
         assert w.grad == pytest.approx(7.0)
+
+    def test_first_contribution_is_copied(self):
+        # ``add`` hands one array to both operands: a later contribution to
+        # ``a`` must not reach ``b``'s grad, whichever order the walk takes
+        for flip in (False, True):
+            a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+            terms = [T.add(a, b), T.mul(a, 5.0)]
+            T.tsum(T.add(*terms[::-1] if flip else terms)).backward()
+            assert np.array_equal(a.grad, [6.0, 6.0])
+            assert np.array_equal(b.grad, [1.0, 1.0])
 
     def test_interior_graph_released(self):
         w = Tensor(np.array(2.0), requires_grad=True)
