@@ -12,18 +12,20 @@ is an independent sequence. Without graph recording, a layer runs them in
 slabs, so its (..., heads, T, T) scores and (..., T, ffn_dim) hidden stay
 bounded however long the input is:
 
+- ``slab_size`` cuts a count of items into the fewest slabs that fit
+  ``SLAB_BYTES // workers``, evened out: 250 sequences with room for 146
+  give 125 + 125, not 146 + 104. A layer's item is a sequence's score map
+  or feed-forward pair, whichever is larger; the mask head's is a chunk's
+  output pair, with the whole budget on the calling thread. A layer whose
+  sequences fit one slab takes one pass on the calling thread, as it
+  always does while recording a graph.
 - The slabs run on ``worker_count()`` threads: the calling thread plus a
-  persistent pool, made on first use. The count is the number of CPUs in
-  the process's affinity mask divided by the BLAS thread count, read from
-  the first of ``BLAS_THREAD_VARS`` that is set (all CPUs when none is).
-  So BLAS left unpinned keeps one thread, and ``OPENBLAS_NUM_THREADS=1``
-  on two CPUs gives two; ``taskset -c 0`` restricts the count to one.
-- ``SLAB_BYTES`` bounds all slabs in flight together: each thread's slab
-  fits ``SLAB_BYTES // worker_count()``. The sequences are cut into the
-  fewest slabs that fit, of even size: 250 sequences and room for 146 give
-  125 + 125, not 146 + 104. A layer whose sequences fit that budget takes
-  one pass on the calling thread, as it always does while recording a
-  graph.
+  persistent pool, made once per thread count on first use. The count is
+  the number of CPUs in the process's affinity mask divided by the BLAS
+  thread count, read from the first of ``BLAS_THREAD_VARS`` that is set
+  (all CPUs when none is). So BLAS left unpinned keeps one thread, and
+  ``OPENBLAS_NUM_THREADS=1`` on two CPUs gives two; ``taskset -c 0``
+  restricts the count to one.
 - Each slab's output is written into its rows of one preallocated array.
   The arithmetic does not depend on the slab size or the thread that ran
   it, so outputs are bit-identical for any worker count.
@@ -33,8 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -52,8 +53,8 @@ from .nn import (
 from .tensor import ConfigError, Tensor
 
 
-# Bytes the attention scores, and separately the feed-forward hidden pairs,
-# of all slabs in flight may take in a layer run without graph recording.
+# Bytes the slabs in flight together may take without graph recording: a
+# layer's scores or feed-forward pairs, or the mask head's output pairs.
 SLAB_BYTES = 16 << 20
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -71,23 +72,22 @@ def worker_count() -> int:
     return max(1, cpus // blas)
 
 
-_pool = None                      # (threads, executor), made on first use
-_pool_lock = threading.Lock()
+def slab_size(count: int, item_bytes: int, workers: int = 1) -> int:
+    """Items per slab when ``count`` items of ``item_bytes`` each are cut
+    into the fewest slabs that fit ``SLAB_BYTES // workers`` (at least one
+    item each), with the slabs evened out."""
+    fit = max(1, SLAB_BYTES // workers // item_bytes)
+    slabs = -(-count // fit)
+    return -(-count // slabs)
 
 
+@cache
 def _helpers(threads: int):
     """The persistent pool of ``threads`` helper threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != threads:
-            # imported here: the module costs RSS that graph-recording runs,
-            # which never start a pool, should not pay
-            from concurrent.futures import ThreadPoolExecutor
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads, ThreadPoolExecutor(threads,
-                                                 thread_name_prefix="casep-slab"))
-        return _pool[1]
+    # imported here: the module costs RSS that graph-recording runs, which
+    # never start a pool, should not pay
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads, thread_name_prefix="casep-slab")
 
 
 def _run_slabs(run, starts, workers: int) -> None:
@@ -96,21 +96,18 @@ def _run_slabs(run, starts, workers: int) -> None:
     it is free. Returns when every call has; the first error raised on the
     calling thread, else in a helper, is raised here, and no start is
     handed out after an error."""
-    todo = list(reversed(starts))
+    todo = iter(starts)
 
     def drain():
-        while True:
-            try:
-                start = todo.pop()      # atomic: each start is taken once
-            except IndexError:
-                return
+        for start in todo:              # a shared iterator: each start is taken once
             try:
                 run(start)
             except BaseException:
-                todo.clear()
+                for _ in todo:          # hand out no start after an error
+                    pass
                 raise
 
-    n_helpers = min(workers, len(todo)) - 1
+    n_helpers = min(workers, len(starts)) - 1
     pool = _helpers(workers - 1) if n_helpers > 0 else None
     helpers = [pool.submit(drain) for _ in range(n_helpers)]
     try:
@@ -172,14 +169,6 @@ class HybridLayer(Module):
         mixed = self.pointwise(T.depthwise_conv1d(hc, self.depthwise))
         return self.conv_norm(T.add(mixed, hc))
 
-    def _slab_size(self, length: int, itemsize: int, budget: int) -> int:
-        """The most sequences of ``length`` whose score map and whose
-        feed-forward pair each fit ``budget`` bytes; at least one."""
-        cfg = self.cfg
-        scores = cfg.heads * length * length if self.attn is not None else 0
-        per_sequence = max(scores, 2 * length * cfg.ffn_dim) * itemsize
-        return max(1, budget // per_sequence)
-
     def __call__(self, h: Tensor, record=None) -> Tensor:
         """Without graph recording, runs the flattened (N, T, D) sequences
         in slabs on ``worker_count()`` threads. ``record``, if given, is
@@ -189,12 +178,14 @@ class HybridLayer(Module):
         count = math.prod(lead)
         if T.grad_enabled():
             return self._body(h, record)
+        cfg = self.cfg
         workers = 1 if record is not None else worker_count()
-        size = self._slab_size(length, h.dtype.itemsize, SLAB_BYTES // workers)
+        # a sequence's score map or its feed-forward pair, whichever is larger
+        scores = cfg.heads * length * length if self.attn is not None else 0
+        per_sequence = max(scores, 2 * length * cfg.ffn_dim) * h.dtype.itemsize
+        size = slab_size(count, per_sequence, workers)
         if size >= count:
             return self._body(h, record)
-        slabs = -(-count // size)
-        size = -(-count // slabs)    # as many slabs, evened out
         flat = h.reshape((count, length, width))
         out = np.empty((count, length, width), dtype=h.dtype)
 

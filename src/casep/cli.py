@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .analyzer import format_param_report, model_param_report, param_report_kv
@@ -128,7 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            # numpy's overflow warnings only come before the error that
+            # reports the non-finite value; the filter covers slab threads
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.fn(args)
     except (ConfigError, ShapeError, WavFormatError, NonFiniteError, RuntimeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

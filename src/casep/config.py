@@ -254,12 +254,15 @@ def _convert(key: str, kind: str, value: str):
 def _read(cls, entries: dict[str, str], section: str, **given):
     """Build ``cls`` from the ``section.*`` entries. Fields in ``given`` are
     taken as passed; a missing key falls back to the field's default, and a
-    field without one (or named in ``_REQUIRED``) must be present."""
+    field without one (or named in ``_REQUIRED``) must be present. A
+    ``section.*`` key that no field reads is an error."""
     values = dict(given)
-    for f in fields(cls):
-        if f.name in given:
-            continue
-        key = f"{section}.{_KEYS.get(f.name, f.name)}"
+    keys = {f"{section}.{_KEYS.get(f.name, f.name)}": f
+            for f in fields(cls) if f.name not in given}
+    for key in entries:
+        if key.startswith(f"{section}.") and key not in keys:
+            raise ConfigError(f"unknown config key {key}")
+    for key, f in keys.items():
         if key in entries:
             values[f.name] = _convert(key, f.type, entries[key])
         elif f.name in _REQUIRED or (f.default is MISSING

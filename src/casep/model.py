@@ -76,12 +76,12 @@ class Separator(Module):
         for b, block in enumerate(self.blocks):
             h = block(h, None if record is None else partial(record, b))
         # without a graph, the (post_linear, prelu) pair of a slab of chunks
-        # fits SLAB_BYTES, like a hybrid layer's feed-forward pair
+        # takes the whole slab budget on this thread
         per_chunk = (2 * math.prod(h.shape[:-3]) * h.shape[-2]
                      * self.post_linear.out_features * h.dtype.itemsize)
         flat = overlap_add_slabs(h, latent.shape[-2],          # (..., T_lat, D*K)
                                  lambda c: self.post_act(self.post_linear(c)),
-                                 max(1, blocks.SLAB_BYTES // per_chunk))
+                                 blocks.slab_size(h.shape[-3], per_chunk))
         masks = []
         for s in range(self.cfg.speakers):
             group = flat[..., s * d : (s + 1) * d]

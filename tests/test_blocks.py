@@ -7,7 +7,8 @@ import pytest
 from conftest import MapRecord
 
 import casep.tensor as T
-from casep.blocks import DualPathBlock, HybridLayer, channel_split
+from casep import blocks
+from casep.blocks import DualPathBlock, HybridLayer, channel_split, slab_size
 from casep.chunking import segment
 from casep.config import PathConfig
 from casep.tensor import ConfigError, Tensor, no_grad
@@ -19,6 +20,22 @@ def path_cfg(width=8, attn=4, conv=4, heads=2, kernel=3, ffn=16):
 
 def make_layer(cfg=None, seed=0, dtype=np.float32):
     return HybridLayer(cfg or path_cfg(), np.random.default_rng(seed), dtype=dtype)
+
+
+class TestSlabSize:
+    """One rule sizes the slabs of every layer and of the mask head."""
+
+    @pytest.mark.parametrize("budget, count, item_bytes, workers, size", [
+        (146, 250, 1, 1, 125),          # room for 146: 125 + 125, not 146 + 104
+        (16 << 20, 33, 1_024_000, 1, 11),   # the full-scale mask head at batch 1
+        (292, 250, 1, 2, 125),          # each of two workers gets half the room
+        (146, 7, 200, 1, 1),            # an item larger than the budget
+        (146, 9, 16, 1, 9),             # every item fits: one slab
+    ])
+    def test_fewest_even_slabs(self, monkeypatch, budget, count, item_bytes,
+                               workers, size):
+        monkeypatch.setattr(blocks, "SLAB_BYTES", budget)
+        assert slab_size(count, item_bytes, workers) == size
 
 
 class TestChannelSplit:

@@ -119,6 +119,22 @@ class TestModelConfigFlat:
         assert (cfg.shared, cfg.sample_rate, cfg.precision) == (False, 8000, "single")
         assert (cfg.intra.heads, cfg.intra.kernel) == (1, 1)
 
+    @pytest.mark.parametrize("key", ["encoder.filter", "model.chunksize",
+                                     "intra.width", "inter.head"])
+    def test_unknown_key_rejected(self, key):
+        entries = parse_flat(SMOKE_CONFIG_TEXT)
+        entries[key] = "2"
+        with pytest.raises(ConfigError, match=f"^unknown config key {key}$"):
+            model_config_from_flat(entries)
+
+    def test_other_sections_pass_untouched(self):
+        # a checkpoint's run metadata and keys of sections read elsewhere
+        entries = model_config_to_flat(tiny_model_config())
+        extra = {"trained.steps": "500", "trained.data_seed": "0",
+                 "train.step": "3", "a.b": "1"}
+        cfg = model_config_from_flat({**entries, **extra})
+        assert model_config_to_flat(cfg) == entries
+
     def test_layer_width_follows_encoder(self):
         entries = parse_flat(SMOKE_CONFIG_TEXT)
         entries["intra.attn_channels"] = "9"   # 9 + 8 != 16
@@ -198,6 +214,16 @@ class TestOtherSections:
                    "data.length": "64", key: value}
         with pytest.raises(ConfigError, match=named):
             synthetic_spec_from_flat(entries, n_sources=2, sample_rate=8000)
+
+    @pytest.mark.parametrize("key", ["data.sample_rate", "data.n_sources",
+                                     "train.step", "eval.counts"])
+    def test_unknown_key_rejected(self, key):
+        # each reader passes the other sections, so the key's own reader raises
+        entries = {**parse_flat(SMOKE_CONFIG_TEXT), key: "3"}
+        with pytest.raises(ConfigError, match=f"^unknown config key {key}$"):
+            synthetic_spec_from_flat(entries, n_sources=2, sample_rate=8000)
+            train_settings_from_flat(entries)
+            eval_settings_from_flat(entries)
 
     def test_bands_required_despite_dataclass_default(self):
         with pytest.raises(ConfigError, match="missing required config key data.bands"):

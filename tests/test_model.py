@@ -11,6 +11,7 @@ from conftest import MapRecord, tiny_model_config
 
 import casep.tensor as T
 from casep import blocks
+from casep import model as model_module
 from casep.blocks import HybridLayer
 from casep.checkpoint import model_state, save_checkpoint
 from casep.codec import Waveform
@@ -277,6 +278,31 @@ class TestSlabs:
             assert grid.shape == (16, 2, 8, 8)
             assert np.array_equal(maps[key], grid), key
 
+    @pytest.mark.parametrize("fit", [5, 6, 7])
+    def test_mask_head_slabs_are_even(self, monkeypatch, fit):
+        # room for 5, 6 or 7 of the head's 8 chunks, whose (8, 32) float32
+        # output pair is 2048 bytes each: two slabs of 4 chunks, and the
+        # same masks as one pass
+        model = tiny_model()
+        with no_grad():
+            _, one = model.masks_for(Tensor(self.wave().samples))
+        chunks = []
+        original = model_module.overlap_add_slabs
+
+        def spy(x, n_frames, fn, step):
+            def counted(c):
+                chunks.append(c.shape[-3])
+                return fn(c)
+            return original(x, n_frames, counted, step)
+
+        monkeypatch.setattr(model_module, "overlap_add_slabs", spy)
+        monkeypatch.setattr(blocks, "worker_count", lambda: 1)
+        monkeypatch.setattr(blocks, "SLAB_BYTES", fit * 2 * 8 * 32 * 4)
+        with no_grad():
+            _, masks = model.masks_for(Tensor(self.wave().samples))
+        assert chunks == [4, 4]
+        assert np.array_equal(masks.data, one.data)
+
     def test_recording_graph_takes_one_pass(self, weights, monkeypatch):
         monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
         model = tiny_model()
@@ -299,28 +325,28 @@ class TestSlabPool:
 
     @staticmethod
     def meet(monkeypatch, change=None):
-        """Spy on the layer body: returns the thread ident of every call.
-        Each of the first two threads waits at a barrier in its first
-        call, so both must run a slab; ``change(h)``, if given, replaces
-        the input of the pool thread's first slab."""
-        idents = []
-        caller = threading.get_ident()
+        """Spy on the layer body: returns the thread of every call. Each of
+        the first two threads waits at a barrier in its first call, so both
+        must run a slab; ``change(h)``, if given, replaces the input of the
+        pool thread's first slab."""
+        threads = []
+        caller = threading.current_thread()
         barrier = threading.Barrier(2, timeout=30)
         original = HybridLayer._body
 
         def spy(layer, h, record):
-            ident = threading.get_ident()
-            first = ident not in idents
-            idents.append(ident)
-            if first and len(set(idents)) <= 2:
+            thread = threading.current_thread()
+            first = thread not in threads
+            threads.append(thread)
+            if first and len(set(threads)) <= 2:
                 barrier.wait()
-                if change is not None and ident != caller:
+                if change is not None and thread is not caller:
                     with np.errstate(over="ignore", invalid="ignore"):
                         return original(layer, change(h), record)
             return original(layer, h, record)
 
         monkeypatch.setattr(HybridLayer, "_body", spy)
-        return idents
+        return threads
 
     @pytest.fixture
     def no_pool(self, monkeypatch):
@@ -386,6 +412,38 @@ class TestSlabPool:
             model.separate(self.wave())
         monkeypatch.setattr(HybridLayer, "_body", original)
         model.separate(self.wave())   # the pool still works
+
+    def test_pool_persists_across_calls(self, two_workers, monkeypatch):
+        # a pool made per call would give each call new threads, each with
+        # its own malloc arena holding memory after the call
+        model = tiny_model()
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        original = HybridLayer._body
+        helpers = []
+        for _ in range(2):
+            threads = self.meet(monkeypatch)
+            model.separate(self.wave())
+            helpers.append(set(threads) - {threading.current_thread()})
+            monkeypatch.setattr(HybridLayer, "_body", original)
+        assert len(helpers[0]) == 1 and helpers[1] == helpers[0]
+        assert blocks._helpers(1) is blocks._helpers(1)
+
+    def test_no_start_after_an_error(self):
+        # each thread takes one start; start 0 fails while the other thread
+        # is still on start 1, which then finds nothing left to take
+        ran = []
+        barrier = threading.Barrier(2, timeout=30)
+
+        def run(start):
+            ran.append(start)
+            barrier.wait()
+            if start == 0:
+                raise ValueError("slab 0")
+            time.sleep(0.2)
+
+        with pytest.raises(ValueError, match="slab 0"):
+            blocks._run_slabs(run, range(10), 2)
+        assert sorted(ran) == [0, 1]
 
     def test_each_slab_runs_once_under_contention(self):
         # more workers than cores, each yielding after every call, with the

@@ -155,9 +155,12 @@ class TestGradCheck:
         model = Separator.build(cfg, 0)
         assert res.groups_covered == len(model.parameters())
 
-    def test_requires_double_precision(self):
-        with pytest.raises(ConfigError, match="double"):
-            grad_check_run(tiny_model_config(), two_sine_spec(length=256))
+    def test_single_precision_config_is_checked_in_double(self):
+        spec = two_sine_spec(length=256)
+        single = grad_check_run(tiny_model_config(), spec, min_coords=30)
+        double = grad_check_run(tiny_model_config(precision="double"), spec,
+                                min_coords=30)
+        assert single == double
 
     def test_report_text(self):
         cfg = tiny_model_config(precision="double")
