@@ -47,63 +47,3 @@ from .training import (
     separate_files,
     train_run,
 )
-
-__all__ = [
-    "Adam",
-    "ConfigError",
-    "ContractError",
-    "Decoder",
-    "DualPathBlock",
-    "Encoder",
-    "EncoderConfig",
-    "EvalSettings",
-    "HybridLayer",
-    "LayerNorm",
-    "Linear",
-    "ModelConfig",
-    "Module",
-    "MultiHeadAttention",
-    "NonFiniteError",
-    "ParamReport",
-    "Parameter",
-    "PathConfig",
-    "PitResult",
-    "PReLU",
-    "REFERENCE_BUDGETS",
-    "Separator",
-    "ShapeError",
-    "SyntheticSpec",
-    "Tensor",
-    "TrainSettings",
-    "WavFormatError",
-    "Waveform",
-    "channel_split",
-    "count_table",
-    "default_model_config",
-    "eval_model",
-    "eval_run",
-    "gen_mixture",
-    "grad_check_run",
-    "improvements",
-    "layer_param_counts",
-    "load_checkpoint",
-    "load_model_state",
-    "load_separator",
-    "model_config_from_flat",
-    "model_config_to_flat",
-    "model_param_report",
-    "model_state",
-    "no_grad",
-    "overlap_add",
-    "parse_flat",
-    "read_wav",
-    "save_checkpoint",
-    "segment",
-    "separate_files",
-    "serialize_flat",
-    "si_snr",
-    "sdr",
-    "train_run",
-    "upit_loss",
-    "write_wav",
-]

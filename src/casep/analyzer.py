@@ -10,7 +10,7 @@ count of the instantiated model exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .config import ModelConfig, PathConfig, default_model_config
 from .nn import Module
@@ -70,7 +70,7 @@ def layer_param_counts(cfg: PathConfig) -> dict[str, int]:
     attention = attention_weight_params(da)
     conv_weights = sepconv_weight_params(cfg.kernel, dc)
     conv_bias = dc
-    norms = (2 * da if da > 0 else 0) + (2 * dc if dc > 0 else 0) + 2 * d
+    norms = 2 * (da + dc + d)
     ffn = d * f + f + f * d + d
     total = attention + conv_weights + conv_bias + norms + ffn
     return {
@@ -97,7 +97,6 @@ class ParamReport:
     decoder: int
     total_analytic: int
     total_empirical: int | None = None
-    detail: dict = field(default_factory=dict)
 
 
 def model_param_report(cfg: ModelConfig, model: Module | None = None) -> ParamReport:
@@ -127,10 +126,6 @@ def model_param_report(cfg: ModelConfig, model: Module | None = None) -> ParamRe
         mask_head=mask_head,
         decoder=dec,
         total_analytic=total,
-        detail={
-            "intra": layer_param_counts(cfg.intra),
-            "inter": layer_param_counts(cfg.inter),
-        },
     )
     if model is not None:
         report.total_empirical = model.param_count()

@@ -93,6 +93,12 @@ class ModelConfig:
         self.inter.validate()
 
 
+def check_seed(name: str, seed: int) -> None:
+    """numpy seeds random streams from non-negative integers only."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+
+
 # Source levels are dB from unit RMS. Past +-100 dB a source is clipped or
 # rounded to silence in a PCM16 WAV (about 96 dB of range), and near
 # 6000 dB its gain overflows float64.
@@ -141,6 +147,7 @@ class SyntheticSpec:
             raise ConfigError("level range high end below low end")
         if self.length < 1:
             raise ConfigError("length must be positive")
+        check_seed("data.seed", self.seed)
         if self.kind == "noise_band":
             # the rfft bins synth keeps; none would make an all-zero source
             freqs = np.fft.rfftfreq(self.length, d=1.0 / self.sample_rate)
@@ -159,7 +166,6 @@ class TrainSettings:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    length_cap: int = 0   # 0 disables the signal-length cap
     out_dir: str = "run"
 
     def validate(self) -> None:
@@ -167,6 +173,7 @@ class TrainSettings:
             raise ConfigError("steps must be >= 0")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
+        check_seed("train.seed", self.seed)
         if not math.isfinite(self.lr):
             raise ConfigError(f"learning rate must be finite, got {self.lr}")
         if self.lr <= 0:
@@ -183,6 +190,7 @@ class EvalSettings:
     def validate(self) -> None:
         if self.count < 1:
             raise ConfigError("eval count must be >= 1")
+        check_seed("eval.seed", self.seed)
 
 
 # -- flat text format ------------------------------------------------------

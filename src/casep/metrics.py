@@ -17,6 +17,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import ContractError, Tensor
 
+_EPS = 1e-8   # added to every power in a ratio: silent signals stay finite
+
 
 def _as_signal(x, axes: int = 1) -> Tensor:
     """``x`` as a tensor of at least ``axes`` axes; the last one is time."""
@@ -26,7 +28,7 @@ def _as_signal(x, axes: int = 1) -> Tensor:
     return t
 
 
-def _projection_db(est, target, eps: float, scaled_numerator: bool) -> Tensor:
+def _projection_db(est, target, scaled_numerator: bool) -> Tensor:
     """Project the zero-mean estimate onto the zero-mean target along the
     last axis and return, in dB, the signal power over the power of the
     residual, broadcast over the leading axes. The signal is the projected
@@ -44,34 +46,34 @@ def _projection_db(est, target, eps: float, scaled_numerator: bool) -> Tensor:
         return T.tsum(T.mul(a, b), axis=-1, keepdims=True)
 
     energy = inner(target, target)
-    scale = T.div(inner(est, target), T.add(energy, eps))
+    scale = T.div(inner(est, target), T.add(energy, _EPS))
     projected = T.mul(scale, target)
     residual = T.sub(est, projected)
     signal = inner(projected, projected) if scaled_numerator else energy
-    num = T.add(signal, eps)
-    den = T.add(inner(residual, residual), eps)
+    num = T.add(signal, _EPS)
+    den = T.add(inner(residual, residual), _EPS)
     ratio = T.decibels(T.div(num, den))
     return ratio.reshape(ratio.shape[:-1])
 
 
-def si_snr(est, target, eps: float = 1e-8) -> Tensor:
+def si_snr(est, target) -> Tensor:
     """Scale-invariant signal-to-noise ratio in dB over the last axis.
 
     The target is rescaled by the estimate's projection coefficient; the
     ratio of projected-signal power to residual power is reported in dB.
     Leading axes broadcast; a pair of 1-D signals gives a scalar tensor.
     """
-    return _projection_db(est, target, eps, scaled_numerator=True)
+    return _projection_db(est, target, scaled_numerator=True)
 
 
-def sdr(est, target, eps: float = 1e-8) -> Tensor:
+def sdr(est, target) -> Tensor:
     """Distortion ratio in dB, simplified: plain target power over the power
     of the scale-projected residual. Unlike ``si_snr`` the numerator is not
     rescaled by the projection coefficient, so estimate gain matters. This
     stands in for full distortion-ratio scoring with its allowed-filter
     projection, which is out of scope. Axes as in ``si_snr``.
     """
-    return _projection_db(est, target, eps, scaled_numerator=False)
+    return _projection_db(est, target, scaled_numerator=False)
 
 
 @dataclass
@@ -81,7 +83,7 @@ class PitResult:
     per_pair: np.ndarray          # (..., K, K) floats, [est][target]
 
 
-def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
+def upit_loss(ests, targets) -> PitResult:
     """Best-permutation negative SI-SNR over all speaker assignments.
 
     ``ests`` and ``targets`` are (..., K, n): K signals per example. Each
@@ -96,9 +98,8 @@ def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
         )
     if k > 4:
         raise ContractError("exhaustive assignment search supports at most 4 speakers")
-    pair = si_snr(ests.reshape(ests.shape[:-1] + (1, ests.shape[-1])),
-                  targets.reshape(targets.shape[:-2] + (1,) + targets.shape[-2:]),
-                  eps)                                          # (..., K, K)
+    pair = si_snr(ests.reshape(ests.shape[:-1] + (1, ests.shape[-1])),   # (..., K, K)
+                  targets.reshape(targets.shape[:-2] + (1,) + targets.shape[-2:]))
     per_pair = pair.data.astype(np.float64)
     # max keeps the first of equal means
     best = np.array([max(permutations(range(k)),
@@ -109,17 +110,17 @@ def upit_loss(ests, targets, eps: float = 1e-8) -> PitResult:
     return PitResult(loss, best.reshape(per_pair.shape[:-1]), per_pair)
 
 
-def improvements(ests, targets, mixture, eps: float = 1e-8):
+def improvements(ests, targets, mixture):
     """SI-SNR and SDR improvements (dB) of (..., K, n) estimates over the
     (..., n) mixtures, both under each example's SI-SNR-optimal assignment
     and averaged over its K speakers: two float64 arrays shaped like the
     leading axes."""
-    pit = upit_loss(ests, targets, eps)
+    pit = upit_loss(ests, targets)
     perm = pit.permutation[..., None]
     assigned = np.take_along_axis(np.asarray(targets), perm, axis=-2)   # (..., K, n)
     chosen = np.take_along_axis(pit.per_pair, perm, axis=-1)[..., 0]
     mixture = np.asarray(mixture)[..., None, :]
-    snri = chosen - si_snr(mixture, assigned, eps).data
-    sdri = np.subtract(sdr(ests, assigned, eps).data,
-                       sdr(mixture, assigned, eps).data, dtype=np.float64)
+    snri = chosen - si_snr(mixture, assigned).data
+    sdri = np.subtract(sdr(ests, assigned).data,
+                       sdr(mixture, assigned).data, dtype=np.float64)
     return snri.mean(axis=-1), sdri.mean(axis=-1)

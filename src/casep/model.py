@@ -90,15 +90,15 @@ class Separator(Module):
             masks.append(mask.reshape(mask.shape[:-2] + (1,) + mask.shape[-2:]))
         return latent, T.concat(masks, -3)
 
-    def forward(self, samples: Tensor, record=None) -> Tensor:
+    def forward(self, samples: Tensor) -> Tensor:
         """Waveform estimates (..., K, n) for (..., n) samples. Samples past
         the decoder's last window, fewer than one encoder stride, are zero."""
-        latent, masks = self.masks_for(samples, record)
+        latent, masks = self.masks_for(samples)
         return self.decoder(masks, latent, samples.shape[-1])
 
     # -- inference --------------------------------------------------------
 
-    def separate(self, wave: Waveform, record=None) -> list[Waveform]:
+    def separate(self, wave: Waveform) -> list[Waveform]:
         """Run the frozen model: one waveform per speaker, as long as the input."""
         if wave.sample_rate != self.cfg.sample_rate:
             raise ConfigError(
@@ -107,5 +107,5 @@ class Separator(Module):
             )
         with no_grad():
             x = Tensor(np.asarray(wave.samples, dtype=self.cfg.dtype))
-            estimates = self.forward(x, record).data
+            estimates = self.forward(x).data
         return [Waveform(est, wave.sample_rate) for est in estimates]

@@ -1,13 +1,15 @@
 """Command-line entry points, driven through main(argv)."""
 
+import argparse
 import struct
 
 import numpy as np
 import pytest
 from conftest import SMOKE_CONFIG_TEXT, two_sine_spec
 
+from casep import blocks, nn
 from casep.checkpoint import load_checkpoint, model_state, save_checkpoint
-from casep.cli import main
+from casep.cli import build_parser, main
 from casep.codec import Waveform
 from casep.config import model_config_from_flat, parse_flat
 from casep.model import Separator
@@ -40,6 +42,36 @@ def assert_one_line_error(code, capsys):
 
 
 @pytest.fixture
+def draws(monkeypatch):
+    """The shape of every weight drawn from a random generator."""
+    shapes = []
+    original = nn.uniform_init
+
+    def spy(rng, shape, bound, dtype):
+        if rng is not None:
+            shapes.append(shape)
+        return original(rng, shape, bound, dtype)
+
+    monkeypatch.setattr(nn, "uniform_init", spy)
+    monkeypatch.setattr(blocks, "uniform_init", spy)
+    return shapes
+
+
+def test_flag_census():
+    # every option a subcommand accepts; a new one must be added here
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {(name, option)
+             for name, parser in subcommands.items()
+             for action in parser._actions
+             for option in action.option_strings
+             if option not in ("-h", "--help")}
+    assert flags == {("train", "--resume"),
+                     ("grad-check", "--seed"), ("grad-check", "--coords"),
+                     ("count-params", "--instantiate"), ("count-params", "--kv")}
+
+
+@pytest.fixture
 def mixture_wav(tmp_path):
     mix, _ = gen_mixture(two_sine_spec(), 0)
     path = tmp_path / "mix.wav"
@@ -66,6 +98,23 @@ class TestTrain:
         code = main(["train", str(config_file), "--resume", str(weights)])
         assert "lacks optimizer state: optim.step" in assert_one_line_error(code, capsys)
 
+    def test_resume_from_nan_weight_is_a_cli_error(self, config_file, trained,
+                                                  capsys):
+        cfg, entries, tensors = load_checkpoint(trained)
+        tensors["mask_out.1.bias"][3] = np.nan
+        save_checkpoint(trained, cfg, tensors)
+        code = main(["train", str(config_file), "--resume", str(trained)])
+        line = assert_one_line_error(code, capsys)
+        assert f"{trained}: checkpoint weight mask_out.1.bias is non-finite" in line
+
+    def test_resume_draws_no_weights(self, config_file, trained, draws, capsys):
+        cfg = model_config_from_flat(parse_flat(config_file.read_text()))
+        Separator.build(cfg, 0)
+        assert draws    # the spy sees a seeded build
+        draws.clear()
+        assert main(["train", str(config_file), "--resume", str(trained)]) == 0
+        assert draws == []
+
     @pytest.mark.parametrize("edits, named", [
         ("data.kind = noise_band\ndata.length = 16\ndata.bands = 100-110; 1000-2000\n",
          "band 100.0-110.0 holds no frequency bin"),
@@ -78,11 +127,14 @@ class TestTrain:
         ("intra.width = 16\n", "unknown config key intra.width"),
         ("data.sample_rate = 16000\n", "unknown config key data.sample_rate"),
         ("train.step = 3\n", "unknown config key train.step"),
+        ("train.length_cap = 256\n", "unknown config key train.length_cap"),
+        ("train.seed = -1\n", "train.seed must be >= 0, got -1"),
+        ("data.seed = -5\n", "data.seed must be >= 0, got -5"),
         # numpy's overflow warnings before the abort stay off stderr
         ("train.lr = 1e30\n", "training aborted at step 1: linear produced"),
     ], ids=["empty_noise_band", "nan_level", "huge_level", "nan_lr", "nan_eps",
             "negative_eps", "model_typo", "intra_typo", "data_typo", "train_typo",
-            "diverging_lr"])
+            "length_cap", "negative_train_seed", "negative_data_seed", "diverging_lr"])
     def test_bad_setting_is_a_cli_error(self, config_file, capsys, edits, named):
         config_file.write_text(config_file.read_text() + edits)
         code = main(["train", str(config_file)])
@@ -192,6 +244,21 @@ class TestEval:
         assert main(["eval", str(trained), str(clash)]) == 2
         assert "held-out" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_cli_error(self, trained, config_file, capsys):
+        config_file.write_text(config_file.read_text().replace(
+            "eval.seed = 7", "eval.seed = -2"))
+        code = main(["eval", str(trained), str(config_file)])
+        assert "eval.seed must be >= 0, got -2" in assert_one_line_error(code, capsys)
+
+    def test_non_integer_data_seed_is_a_cli_error(self, trained, config_file,
+                                                  capsys):
+        cfg, _, tensors = load_checkpoint(trained)
+        save_checkpoint(trained, cfg, tensors,
+                        extra_entries={"trained.data_seed": "x1"})
+        code = main(["eval", str(trained), str(config_file)])
+        line = assert_one_line_error(code, capsys)
+        assert f"{trained}: trained.data_seed 'x1' is not an integer" in line
+
 
 class TestGradCheck:
     def test_passes_on_double_config(self, tmp_path, capsys):
@@ -201,6 +268,11 @@ class TestGradCheck:
         assert main(["grad-check", str(cfg_path), "--coords", "40"]) == 0
         out = capsys.readouterr().out
         assert "gradient check: PASS" in out
+        assert "(threshold 1e-05)" in out
+
+    def test_negative_seed_is_a_cli_error(self, config_file, capsys):
+        code = main(["grad-check", str(config_file), "--seed", "-3"])
+        assert "seed must be >= 0, got -3" in assert_one_line_error(code, capsys)
 
     def test_passes_on_unaligned_length(self, tmp_path, capsys):
         # 513 samples: the loss also scores the one sample no window reaches
@@ -225,6 +297,10 @@ class TestCountParams:
         assert "== analytic" in capsys.readouterr().out
         assert "params.total_empirical" in kv_path.read_text()
 
+    def test_instantiate_draws_no_weights(self, config_file, draws, capsys):
+        assert main(["count-params", str(config_file), "--instantiate"]) == 0
+        assert draws == []
+
 
 class TestDumpAttention:
     def test_writes_grid(self, trained, mixture_wav, tmp_path, capsys):
@@ -240,3 +316,13 @@ class TestDumpAttention:
         assert main(["dump-attention", str(trained), str(mixture_wav),
                      "0:intra:0:99", str(tmp_path / "maps")]) == 2
         assert "head 99 out of range" in capsys.readouterr().err
+
+    def test_wrong_rate_wav_is_the_separate_error(self, trained, tmp_path, capsys):
+        wav = tmp_path / "fast.wav"
+        write_wav(wav, Waveform(np.zeros(512), 16000))
+        code = main(["dump-attention", str(trained), str(wav), "0:intra:0:1",
+                     str(tmp_path / "maps")])
+        line = assert_one_line_error(code, capsys)
+        assert line.startswith(f"error: {wav}: sample rate 16000 != model rate 8000")
+        code = main(["separate", str(trained), str(wav), str(tmp_path / "sep")])
+        assert assert_one_line_error(code, capsys) == line

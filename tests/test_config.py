@@ -156,7 +156,7 @@ class TestOtherSections:
 
     def test_train_defaults(self):
         ts = train_settings_from_flat({})
-        assert ts.length_cap == 0 and ts.out_dir == "run"
+        assert ts.seed == 0 and ts.out_dir == "run"
 
     def test_eval_settings(self):
         es = eval_settings_from_flat(parse_flat(SMOKE_CONFIG_TEXT))
@@ -177,7 +177,6 @@ class TestOtherSections:
             train.beta1 = 0.8
             train.beta2 = 0.95
             train.eps = 1e-6
-            train.length_cap = 256
             train.out_dir = elsewhere
             eval.count = 4
             eval.seed = 9
@@ -189,7 +188,7 @@ class TestOtherSections:
                                    level_db_lo=-6.5, level_db_hi=3.25, seed=11)),
             (train_settings_from_flat(entries), TrainSettings(),
              dict(steps=7, lr=0.02, batch=3, seed=5, beta1=0.8, beta2=0.95,
-                  eps=1e-6, length_cap=256, out_dir="elsewhere")),
+                  eps=1e-6, out_dir="elsewhere")),
             (eval_settings_from_flat(entries), EvalSettings(), dict(count=4, seed=9)),
         ]
         for got, default, expected in read:

@@ -165,7 +165,8 @@ class TestSeparate:
     def test_recorder_collects_all_layers(self):
         model = tiny_model()
         rec = MapRecord()
-        model.separate(Waveform(np.zeros(300, dtype=np.float32)), rec)
+        with no_grad():
+            model.masks_for(Tensor(np.zeros(300, dtype=np.float32)), rec)
         cfg = model.cfg
         expected = {(b, net, i)
                     for b in range(cfg.n_blocks)
@@ -203,17 +204,19 @@ class TestSlabs:
 
     def test_separate_equals_one_slab_run(self, weights, monkeypatch):
         model = tiny_model()
+        x = Tensor(self.wave().samples)
         one_rec = MapRecord()
-        one = model.separate(self.wave(), one_rec)
+        with no_grad():
+            _, one = model.masks_for(x, one_rec)
         assert [w.shape[0] for w in weights] == [8, 8]
         weights.clear()
         monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
         rec = MapRecord()
-        slabbed = model.separate(self.wave(), rec)
+        with no_grad():
+            _, slabbed = model.masks_for(x, rec)
         assert [w.shape[0] for w in weights] == [3, 3, 2, 3, 3, 2]
         assert max(w.nbytes for w in weights) <= self.BUDGET
-        for got, want in zip(slabbed, one):
-            assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(slabbed.data, one.data)
         assert set(rec.slabs) == set(one_rec.slabs)
         maps = rec.maps()
         for key, grid in one_rec.maps().items():
@@ -262,14 +265,14 @@ class TestSlabs:
                        .astype(np.float32))
         one_rec, rec = MapRecord(), MapRecord()
         with no_grad():
-            one_est = model.forward(batch, one_rec)
+            _, one_recorded = model.masks_for(batch, one_rec)
             _, one_masks = model.masks_for(batch)
             weights.clear()
             monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-            est = model.forward(batch, rec)
+            _, recorded = model.masks_for(batch, rec)
             assert [w.shape[0] for w in weights] == [3] * 5 + [1] + [3] * 5 + [1]
             _, masks = model.masks_for(batch)
-        assert np.array_equal(est.data, one_est.data)
+        assert np.array_equal(recorded.data, one_recorded.data)
         assert np.array_equal(masks.data, one_masks.data)
         # the one-pass run flattens its (2, 8) leading axes for ``record`` too
         one_maps, maps = one_rec.maps(), rec.maps()
@@ -384,14 +387,15 @@ class TestSlabPool:
     def test_record_runs_slabs_in_order_on_the_caller(self, two_workers, no_pool,
                                                       monkeypatch):
         model = tiny_model()
+        x = Tensor(self.wave().samples)
         one_rec, rec = MapRecord(), MapRecord()
-        one = model.separate(self.wave(), one_rec)
-        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-        got = model.separate(self.wave(), rec)
+        with no_grad():
+            _, one = model.masks_for(x, one_rec)
+            monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+            _, got = model.masks_for(x, rec)
         # the whole budget, not half: slabs of 2 as in a one-worker run
         assert [len(v) for v in rec.slabs.values()] == [4, 4]
-        for a, b in zip(got, one):
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(got.data, one.data)
         for key, grid in one_rec.maps().items():
             assert np.array_equal(rec.maps()[key], grid), key
 

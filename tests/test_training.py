@@ -8,6 +8,7 @@ from conftest import smoke_entries, smoke_model_config, tiny_model_config, \
 import casep.tensor as T
 from casep import chunking
 from casep.checkpoint import load_checkpoint, load_separator, model_state
+from casep.codec import Decoder
 from casep.config import EvalSettings, parse_flat, synthetic_spec_from_flat
 from casep.model import Separator
 from casep.nn import MultiHeadAttention
@@ -15,7 +16,6 @@ from casep.tensor import ConfigError
 from casep.training import (
     AttentionSelector,
     dump_attention_run,
-    effective_spec,
     eval_model,
     eval_run,
     example_loss,
@@ -130,20 +130,6 @@ class TestResume:
                                 extra={"model.chunk_size": "4"})
         with pytest.raises(ConfigError, match="different model config"):
             train_run(entries, resume=str(part.checkpoint_path))
-
-
-class TestEffectiveSpec:
-    def test_cap_shortens(self):
-        spec = two_sine_spec(length=512)
-        assert effective_spec(spec, 100).length == 100
-
-    def test_zero_cap_disables(self):
-        spec = two_sine_spec(length=512)
-        assert effective_spec(spec, 0).length == 512
-
-    def test_longer_cap_leaves_spec(self):
-        spec = two_sine_spec(length=512)
-        assert effective_spec(spec, 1000) is spec
 
 
 class TestGradCheck:
@@ -278,6 +264,21 @@ class TestDumpAttention:
         probs = e / e.sum(axis=-1, keepdims=True)
         assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-6)
         assert np.abs(grid - probs[:, 1].mean(axis=0)).max() < 1e-6
+
+    def test_dump_does_not_decode(self, setup, monkeypatch):
+        ckpt, wav_path, tmp_path = setup
+        calls = []
+        original = Decoder.__call__
+
+        def spy(decoder, *args):
+            calls.append(args)
+            return original(decoder, *args)
+
+        monkeypatch.setattr(Decoder, "__call__", spy)
+        dump_attention_run(ckpt, wav_path, "0:intra:0:1", str(tmp_path / "maps"))
+        assert calls == []
+        separate_files(ckpt, wav_path, str(tmp_path / "sep"))
+        assert len(calls) == 1    # the spy sees a decode
 
     def test_map_extents_follow_layout(self, setup):
         # within-chunk maps span the chunk size, across-chunk maps the count
