@@ -9,6 +9,7 @@ peek at one attention map.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +66,7 @@ with tempfile.TemporaryDirectory(prefix="separator_demo_") as tmp:
           f"train SI-SNRi {result.train_si_snri:+.2f} dB")
 
     # Separate a mixture the training stream never produced (fresh seed).
-    spec = synthetic_spec_from_flat(entries, 2, 8000)
-    spec.seed = 1234
+    spec = replace(synthetic_spec_from_flat(entries, 2, 8000), seed=1234)
     mixture, sources = gen_mixture(spec, index=0)
 
     model, _ = load_separator(result.checkpoint_path)

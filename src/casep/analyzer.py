@@ -101,7 +101,6 @@ class ParamReport:
 
 def model_param_report(cfg: ModelConfig, model: Module | None = None) -> ParamReport:
     """Analytic whole-model budget; attach the enumerated count if given."""
-    cfg.validate()
     d, k = cfg.width, cfg.speakers
     enc = cfg.encoder.filters * cfg.encoder.kernel
     preprocess = 2 * d + d * d + d
@@ -183,8 +182,8 @@ def _budget_config(split: bool, blocks: int, intra: int, inter: int,
     cfg = replace(default_model_config(), n_blocks=blocks, n_intra=intra,
                   n_inter=inter, shared=shared)
     if not split:
-        cfg.intra = replace(cfg.intra, attn_channels=256, conv_channels=0)
-        cfg.inter = replace(cfg.inter, attn_channels=256, conv_channels=0)
+        cfg = replace(cfg, intra=replace(cfg.intra, attn_channels=256, conv_channels=0),
+                      inter=replace(cfg.inter, attn_channels=256, conv_channels=0))
     return cfg
 
 

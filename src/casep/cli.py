@@ -13,8 +13,8 @@ import warnings
 from pathlib import Path
 
 from .analyzer import format_param_report, model_param_report, param_report_kv
-from .config import model_config_from_flat, parse_flat, serialize_flat, \
-    synthetic_spec_from_flat
+from .config import SECTIONS, model_config_from_flat, parse_flat, \
+    serialize_flat, synthetic_spec_from_flat
 from .model import Separator
 from .tensor import ConfigError, NonFiniteError, ShapeError
 from .training import dump_attention_run, eval_run, grad_check_report, \
@@ -26,7 +26,14 @@ def _load_entries(path: str) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_flat(p.read_text())
+    try:
+        entries = parse_flat(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8") from None
+    for key in entries:
+        if key.split(".", 1)[0] not in SECTIONS:
+            raise ConfigError(f"unknown config section in key {key}")
+    return entries
 
 
 def _cmd_train(args) -> int:

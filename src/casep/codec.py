@@ -36,7 +36,7 @@ class Waveform:
         return self.samples.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     filters: int
     kernel: int
@@ -63,7 +63,6 @@ class Encoder(Module):
     """Strided windows x filter bank + ReLU: (..., n) -> (..., frames, filters)."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
-        super().__init__()
         self.cfg = cfg
         self.kernels = conv_weight(
             rng, (cfg.filters, 1, cfg.kernel), fan_in=1, length=cfg.kernel,
@@ -86,7 +85,6 @@ class Decoder(Module):
     (..., K, length), all K in one pass, zero past the last window."""
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
-        super().__init__()
         self.cfg = cfg
         self.kernels = conv_weight(
             rng, (cfg.filters, 1, cfg.kernel), fan_in=cfg.filters,

@@ -3,7 +3,8 @@
 One text file fully determines a run. Lines are ``dotted.key = value``;
 ``#`` starts a comment. Each key is one dataclass field: its annotation
 picks the parser (int, float, bool, string, or a band list like
-``100-400; 1000-2000``) and its default fills a missing key.
+``100-400; 1000-2000``) and its default fills a missing key. Every config
+dataclass is frozen and checks its values when built.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .codec import EncoderConfig
 from .tensor import ConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathConfig:
     """Shape of one hybrid layer (attention + depthwise-separable conv)."""
 
@@ -29,7 +30,7 @@ class PathConfig:
     heads: int = 1
     kernel: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.width < 1:
             raise ConfigError("layer width must be positive")
         if self.attn_channels < 0 or self.conv_channels < 0:
@@ -45,13 +46,13 @@ class PathConfig:
                     f"heads {self.heads} must divide attention channels "
                     f"{self.attn_channels}"
                 )
-        if self.conv_channels > 0 and self.kernel % 2 == 0:
-            raise ConfigError(f"conv kernel must be odd, got {self.kernel}")
+        if self.conv_channels > 0 and (self.kernel < 1 or self.kernel % 2 == 0):
+            raise ConfigError(f"conv kernel must be positive and odd, got {self.kernel}")
         if self.ffn_dim < 1:
             raise ConfigError("feed-forward width must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     encoder: EncoderConfig
     chunk_size: int
@@ -73,7 +74,7 @@ class ModelConfig:
     def dtype(self):
         return np.float32 if self.precision == "single" else np.float64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.speakers < 2:
             raise ConfigError("need at least 2 speakers")
         if min(self.n_blocks, self.n_intra, self.n_inter) < 1:
@@ -89,8 +90,6 @@ class ModelConfig:
             raise ConfigError(f"precision must be single or double, got {self.precision}")
         if self.sample_rate < 1:
             raise ConfigError("sample rate must be positive")
-        self.intra.validate()
-        self.inter.validate()
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -105,7 +104,7 @@ def check_seed(name: str, seed: int) -> None:
 _LEVEL_DB_LIMIT = 100.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for deterministic synthetic mixtures of band-limited sources."""
 
@@ -120,7 +119,7 @@ class SyntheticSpec:
     level_db_hi: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_sources < 1:
             raise ConfigError("need at least one source")
         if self.kind not in ("sinusoid", "noise_band"):
@@ -157,7 +156,7 @@ class SyntheticSpec:
                                       f"at length {self.length}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSettings:
     steps: int = 500
     lr: float = 1e-3
@@ -168,7 +167,7 @@ class TrainSettings:
     eps: float = 1e-8
     out_dir: str = "run"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if self.batch < 1:
@@ -182,12 +181,12 @@ class TrainSettings:
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalSettings:
     count: int = 16
     seed: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.count < 1:
             raise ConfigError("eval count must be >= 1")
         check_seed("eval.seed", self.seed)
@@ -220,6 +219,8 @@ def config_hash(entries: dict[str, str]) -> str:
     return hashlib.sha256(serialize_flat(entries).encode()).hexdigest()
 
 
+# the sections a config file may hold; a key in any other is a typo
+SECTIONS = ("encoder", "model", "intra", "inter", "data", "train", "eval")
 # flat key names that differ from their field names
 _KEYS = {"n_blocks": "blocks", "n_intra": "intra_reps", "n_inter": "inter_reps"}
 # required in the flat text; the dataclass default serves direct construction
@@ -290,11 +291,9 @@ def _write(obj, section: str, out: dict[str, str], *skip: str) -> None:
 
 def model_config_from_flat(entries: dict[str, str]) -> ModelConfig:
     enc = _read(EncoderConfig, entries, "encoder")
-    cfg = _read(ModelConfig, entries, "model", encoder=enc,
-                intra=_read(PathConfig, entries, "intra", width=enc.filters),
-                inter=_read(PathConfig, entries, "inter", width=enc.filters))
-    cfg.validate()
-    return cfg
+    return _read(ModelConfig, entries, "model", encoder=enc,
+                 intra=_read(PathConfig, entries, "intra", width=enc.filters),
+                 inter=_read(PathConfig, entries, "inter", width=enc.filters))
 
 
 def model_config_to_flat(cfg: ModelConfig) -> dict[str, str]:
@@ -308,22 +307,16 @@ def model_config_to_flat(cfg: ModelConfig) -> dict[str, str]:
 
 def synthetic_spec_from_flat(entries: dict[str, str], n_sources: int,
                              sample_rate: int) -> SyntheticSpec:
-    spec = _read(SyntheticSpec, entries, "data", n_sources=n_sources,
+    return _read(SyntheticSpec, entries, "data", n_sources=n_sources,
                  sample_rate=sample_rate)
-    spec.validate()
-    return spec
 
 
 def train_settings_from_flat(entries: dict[str, str]) -> TrainSettings:
-    ts = _read(TrainSettings, entries, "train")
-    ts.validate()
-    return ts
+    return _read(TrainSettings, entries, "train")
 
 
 def eval_settings_from_flat(entries: dict[str, str]) -> EvalSettings:
-    es = _read(EvalSettings, entries, "eval")
-    es.validate()
-    return es
+    return _read(EvalSettings, entries, "eval")
 
 
 def default_model_config() -> ModelConfig:

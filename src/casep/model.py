@@ -28,8 +28,6 @@ from .tensor import ConfigError, Tensor, no_grad
 
 class Separator(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        super().__init__()
-        cfg.validate()
         self.cfg = cfg
         d = cfg.width
         dtype = cfg.dtype

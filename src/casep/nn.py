@@ -53,31 +53,22 @@ def unique_named(named_params) -> list[tuple[str, Parameter]]:
 
 
 class Module:
-    """Base class with automatic parameter/submodule registration.
+    """Base class whose parameters are found by walking its attributes.
 
-    Attribute assignment of a Parameter, Module, or ModuleList registers it
-    under the attribute name; ``named_parameters`` walks the tree producing
-    dotted paths. A module instance reachable through several paths is
+    ``named_parameters`` yields the Parameter attributes, then the dotted
+    paths into the Module and ModuleList attributes, each group in
+    assignment order. A module instance reachable through several paths is
     reported once per path, so ``parameters()`` deduplicates by identity.
     """
 
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_modules", {})
-
-    def __setattr__(self, name, value):
-        if isinstance(value, Parameter):
-            self._params[name] = value
-        elif isinstance(value, (Module, ModuleList)):
-            self._modules[name] = value
-        object.__setattr__(self, name, value)
-
     def named_parameters(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield (prefix + name if prefix else name), p
-        for name, m in self._modules.items():
-            sub = prefix + name + "." if prefix else name + "."
-            yield from m.named_parameters(sub)
+        attrs = vars(self).items()
+        for name, value in attrs:
+            if isinstance(value, Parameter):
+                yield prefix + name, value
+        for name, value in attrs:
+            if isinstance(value, (Module, ModuleList)):
+                yield from value.named_parameters(f"{prefix}{name}.")
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in unique_named(self.named_parameters())]
@@ -114,7 +105,6 @@ class ModuleList:
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng,
                  dtype=np.float32):
-        super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = linear_weight(rng, in_features, out_features, dtype)
@@ -126,7 +116,6 @@ class Linear(Module):
 
 class LayerNorm(Module):
     def __init__(self, width: int, eps: float = 1e-5, dtype=np.float32):
-        super().__init__()
         self.width = width
         self.eps = eps
         self.gamma = ones_param((width,), dtype)
@@ -140,7 +129,6 @@ class PReLU(Module):
     """Single learnable negative slope, applied elementwise."""
 
     def __init__(self, init: float = 0.25, dtype=np.float32):
-        super().__init__()
         self.slope = Parameter(np.asarray(init, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -155,7 +143,6 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, width: int, heads: int, rng, dtype=np.float32):
-        super().__init__()
         if width <= 0:
             raise ConfigError("attention width must be positive")
         if heads <= 0 or width % heads != 0:

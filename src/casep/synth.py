@@ -39,7 +39,6 @@ def _noise_band(rng, band, n, rate) -> np.ndarray:
 
 def gen_mixture(spec: SyntheticSpec, index: int = 0):
     """One mixture of the stream: (mixture, [sources]), all Waveforms."""
-    spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
     make = _sinusoid if spec.kind == "sinusoid" else _noise_band
     sources = []

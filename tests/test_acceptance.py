@@ -5,6 +5,7 @@ Each test prints its verdict before asserting, so a red run still shows
 the full scoreboard.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -79,10 +80,10 @@ class TestCriterion3:
     def test_sharing_ratio_exact(self):
         ok = True
         for reps in (2, 4, 8):
-            full_cfg = tiny_model_config(shared=False)
-            full_cfg.n_intra = full_cfg.n_inter = reps
-            tied_cfg = tiny_model_config(shared=True)
-            tied_cfg.n_intra = tied_cfg.n_inter = reps
+            full_cfg = replace(tiny_model_config(shared=False), n_intra=reps,
+                               n_inter=reps)
+            tied_cfg = replace(tiny_model_config(shared=True), n_intra=reps,
+                               n_inter=reps)
             analytic_ok = (model_param_report(full_cfg).mask_net_layers
                            == reps * model_param_report(tied_cfg).mask_net_layers)
             full = Separator.build(full_cfg, 0).blocks[0]

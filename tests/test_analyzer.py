@@ -1,5 +1,7 @@
 """Closed-form parameter accounting against enumeration and published budgets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import tiny_model_config
@@ -98,8 +100,7 @@ class TestModelReport:
         assert report.total_empirical == report.total_analytic
 
     def test_analytic_equals_enumerated_shared(self):
-        cfg = tiny_model_config(shared=True)
-        cfg.n_intra = cfg.n_inter = 3
+        cfg = replace(tiny_model_config(shared=True), n_intra=3, n_inter=3)
         model = Separator.build(cfg, seed=0)
         report = model_param_report(cfg, model)
         assert report.total_empirical == report.total_analytic
@@ -107,10 +108,10 @@ class TestModelReport:
     def test_sharing_ratio_exact(self):
         # the repeated layer sets shrink by exactly the repetition factor
         for reps in (2, 4, 8):
-            cfg_full = tiny_model_config(shared=False)
-            cfg_full.n_intra = cfg_full.n_inter = reps
-            cfg_tied = tiny_model_config(shared=True)
-            cfg_tied.n_intra = cfg_tied.n_inter = reps
+            cfg_full = replace(tiny_model_config(shared=False), n_intra=reps,
+                               n_inter=reps)
+            cfg_tied = replace(tiny_model_config(shared=True), n_intra=reps,
+                               n_inter=reps)
             full = model_param_report(cfg_full)
             tied = model_param_report(cfg_tied)
             assert full.mask_net_layers == reps * tied.mask_net_layers

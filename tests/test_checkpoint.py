@@ -2,6 +2,7 @@
 
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,8 +158,7 @@ class TestRoundTrip:
             assert got[name].dtype == arr.dtype and np.array_equal(got[name], arr), name
 
     def test_shared_weights_stored_once(self, ckpt_path):
-        cfg = tiny_model_config(shared=True)
-        cfg.n_intra = cfg.n_inter = 4
+        cfg = replace(tiny_model_config(shared=True), n_intra=4, n_inter=4)
         model = Separator.build(cfg, seed=0)
         state = model_state(model)
         assert sum(a.size for a in state.values()) == model.param_count()

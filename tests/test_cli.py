@@ -128,17 +128,26 @@ class TestTrain:
         ("data.sample_rate = 16000\n", "unknown config key data.sample_rate"),
         ("train.step = 3\n", "unknown config key train.step"),
         ("train.length_cap = 256\n", "unknown config key train.length_cap"),
+        ("intra.kernel = -1\n", "conv kernel must be positive and odd, got -1"),
+        ("trian.steps = 5\n", "unknown config section in key trian.steps"),
         ("train.seed = -1\n", "train.seed must be >= 0, got -1"),
         ("data.seed = -5\n", "data.seed must be >= 0, got -5"),
         # numpy's overflow warnings before the abort stay off stderr
         ("train.lr = 1e30\n", "training aborted at step 1: linear produced"),
     ], ids=["empty_noise_band", "nan_level", "huge_level", "nan_lr", "nan_eps",
             "negative_eps", "model_typo", "intra_typo", "data_typo", "train_typo",
-            "length_cap", "negative_train_seed", "negative_data_seed", "diverging_lr"])
+            "length_cap", "negative_kernel", "section_typo", "negative_train_seed",
+            "negative_data_seed", "diverging_lr"])
     def test_bad_setting_is_a_cli_error(self, config_file, capsys, edits, named):
         config_file.write_text(config_file.read_text() + edits)
         code = main(["train", str(config_file)])
         assert named in assert_one_line_error(code, capsys)
+
+    def test_non_utf8_config_is_a_cli_error(self, config_file, capsys):
+        config_file.write_bytes(config_file.read_bytes() + b"# \xff\xfe\n")
+        code = main(["count-params", str(config_file)])
+        line = assert_one_line_error(code, capsys)
+        assert f"{config_file}: config file is not UTF-8" in line
 
     def test_missing_config_is_a_cli_error(self, capsys):
         assert main(["train", "/nonexistent.cfg"]) == 2

@@ -1,9 +1,12 @@
 """Flat key/value config format and the dataclass validators behind it."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from conftest import SMOKE_CONFIG_TEXT, tiny_model_config
 
+from casep.codec import EncoderConfig
 from casep.config import (
     EvalSettings,
     PathConfig,
@@ -237,36 +240,39 @@ class TestOtherSections:
 class TestValidators:
     def test_default_config_is_valid(self):
         cfg = default_model_config()
-        cfg.validate()
         assert cfg.width == 256 and cfg.chunk_size == 250
 
     def test_speaker_minimum(self):
-        cfg = tiny_model_config()
-        cfg.speakers = 1
         with pytest.raises(ConfigError):
-            cfg.validate()
+            replace(tiny_model_config(), speakers=1)
 
     def test_odd_chunk_size_rejected(self):
-        cfg = tiny_model_config()
-        cfg.chunk_size = 7
         with pytest.raises(ConfigError):
-            cfg.validate()
+            replace(tiny_model_config(), chunk_size=7)
 
     def test_heads_must_divide_attention_channels(self):
         with pytest.raises(ConfigError):
-            PathConfig(16, 6, 10, heads=4, kernel=5, ffn_dim=64).validate()
+            PathConfig(16, 6, 10, heads=4, kernel=5, ffn_dim=64)
 
     def test_even_conv_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            PathConfig(16, 8, 8, heads=2, kernel=4, ffn_dim=64).validate()
+            PathConfig(16, 8, 8, heads=2, kernel=4, ffn_dim=64)
+
+    @pytest.mark.parametrize("cfg", [
+        EncoderConfig(16, 4, 2), tiny_model_config().intra, tiny_model_config(),
+        SyntheticSpec(), TrainSettings(), EvalSettings(),
+    ], ids=lambda cfg: type(cfg).__name__)
+    def test_configs_are_frozen(self, cfg):
+        # a config is checked once, when built, so none may change after
+        for f in fields(cfg):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
     def test_degenerate_paths_validate(self):
-        PathConfig(16, 16, 0, heads=2, kernel=1, ffn_dim=64).validate()
-        PathConfig(16, 0, 16, heads=1, kernel=5, ffn_dim=64).validate()
+        PathConfig(16, 16, 0, heads=2, kernel=1, ffn_dim=64)
+        PathConfig(16, 0, 16, heads=1, kernel=5, ffn_dim=64)
 
     def test_precision_values(self):
-        cfg = tiny_model_config()
-        cfg.precision = "half"
         with pytest.raises(ConfigError):
-            cfg.validate()
+            replace(tiny_model_config(), precision="half")
         assert tiny_model_config(precision="double").dtype == np.float64

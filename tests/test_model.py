@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -490,8 +491,7 @@ class TestSlabPool:
 
 class TestParameterSets:
     def test_block_count_scales_parameter_sets(self):
-        cfg2 = tiny_model_config()
-        cfg2.n_blocks = 2
+        cfg2 = replace(tiny_model_config(), n_blocks=2)
         two = Separator(cfg2, np.random.default_rng(0))
         one = tiny_model()
         delta = two.param_count() - one.param_count()
@@ -499,10 +499,8 @@ class TestParameterSets:
         assert delta == per_block
 
     def test_sharing_reduces_unique_parameters(self):
-        cfg_shared = tiny_model_config(shared=True)
-        cfg_shared.n_intra = cfg_shared.n_inter = 3
-        cfg_full = tiny_model_config(shared=False)
-        cfg_full.n_intra = cfg_full.n_inter = 3
+        cfg_shared = replace(tiny_model_config(shared=True), n_intra=3, n_inter=3)
+        cfg_full = replace(tiny_model_config(shared=False), n_intra=3, n_inter=3)
         shared = Separator(cfg_shared, np.random.default_rng(0))
         full = Separator(cfg_full, np.random.default_rng(0))
         assert shared.param_count() < full.param_count()

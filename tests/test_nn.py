@@ -20,7 +20,6 @@ class TestModuleRegistration:
     def test_dotted_paths(self):
         class Outer(Module):
             def __init__(self):
-                super().__init__()
                 self.lin = Linear(2, 3, np.random.default_rng(0))
                 self.scale = Parameter(np.ones(1, dtype=np.float32))
 
@@ -30,7 +29,6 @@ class TestModuleRegistration:
     def test_module_list_paths(self):
         class Stack(Module):
             def __init__(self):
-                super().__init__()
                 self.layers = ModuleList(
                     [Linear(2, 2, np.random.default_rng(i)) for i in range(2)]
                 )
@@ -39,10 +37,22 @@ class TestModuleRegistration:
         assert names == ["layers.0.weight", "layers.0.bias",
                          "layers.1.weight", "layers.1.bias"]
 
+    def test_no_base_init_needed(self):
+        class Bare(Module):
+            def __init__(self):
+                self.first = Linear(2, 2, np.random.default_rng(0))
+                self.scale = Parameter(np.ones(1, dtype=np.float32))
+                self.second = Linear(2, 2, np.random.default_rng(1))
+                self.offset = Parameter(np.zeros(1, dtype=np.float32))
+
+        names = [n for n, _ in Bare().named_parameters()]
+        # direct parameters first, then submodules, each in assignment order
+        assert names == ["scale", "offset", "first.weight", "first.bias",
+                         "second.weight", "second.bias"]
+
     def test_shared_submodule_deduplicated(self):
         class Tied(Module):
             def __init__(self):
-                super().__init__()
                 inner = Linear(3, 3, np.random.default_rng(0))
                 self.a = inner
                 self.b = inner

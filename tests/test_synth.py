@@ -87,18 +87,18 @@ class TestSpecValidation:
             SyntheticSpec(
                 n_sources=2, length=512, sample_rate=8000, kind="sinusoid",
                 bands=[(200.0, 900.0), (800.0, 2000.0)], seed=0,
-            ).validate()
+            )
 
     def test_band_count_must_match_sources(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(
                 n_sources=3, length=512, sample_rate=8000, kind="sinusoid",
                 bands=[(200.0, 400.0), (1000.0, 2000.0)], seed=0,
-            ).validate()
+            )
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(
                 n_sources=2, length=512, sample_rate=8000, kind="chirp",
                 bands=[(200.0, 400.0), (1000.0, 2000.0)], seed=0,
-            ).validate()
+            )
