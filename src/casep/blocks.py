@@ -13,12 +13,12 @@ slabs, so its (..., heads, T, T) scores and (..., T, ffn_dim) hidden stay
 bounded however long the input is:
 
 - ``slab_size`` cuts a count of items into the fewest slabs that fit
-  ``SLAB_BYTES // workers``, evened out: 250 sequences with room for 146
-  give 125 + 125, not 146 + 104. A layer's item is a sequence's score map
-  or feed-forward pair, whichever is larger; the mask head's is a chunk's
-  output pair, with the whole budget on the calling thread. A layer whose
-  sequences fit one slab takes one pass on the calling thread, as it
-  always does while recording a graph.
+  ``SLAB_BYTES // workers``, evened out: 250 sequences with room for 73
+  give 63 + 63 + 63 + 61, not 73 + 73 + 73 + 31. A layer's item is a
+  sequence's score map or feed-forward pair, whichever is larger; the mask
+  head's is a chunk's output pair, with the whole budget on the calling
+  thread. A layer whose sequences fit one slab takes one pass on the
+  calling thread, as it always does while recording a graph.
 - The slabs run on ``worker_count()`` threads: the calling thread plus a
   persistent pool, made once per thread count on first use. The count is
   the number of CPUs in the process's affinity mask divided by the BLAS
@@ -55,7 +55,9 @@ from .tensor import ConfigError, Tensor
 
 # Bytes the slabs in flight together may take without graph recording: a
 # layer's scores or feed-forward pairs, or the mask head's output pairs.
-SLAB_BYTES = 16 << 20
+# 8 MiB: full-scale forwards at 1 s and 4 s took within a few percent of
+# their time at 16 MiB, and longer at 4 and 2 (README, "Inference in slabs").
+SLAB_BYTES = 8 << 20
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -75,7 +77,8 @@ def worker_count() -> int:
 def slab_size(count: int, item_bytes: int, workers: int = 1) -> int:
     """Items per slab when ``count`` items of ``item_bytes`` each are cut
     into the fewest slabs that fit ``SLAB_BYTES // workers`` (at least one
-    item each), with the slabs evened out."""
+    item each), with the slabs evened out. No items take one slab of one."""
+    count = max(count, 1)
     fit = max(1, SLAB_BYTES // workers // item_bytes)
     slabs = -(-count // fit)
     return -(-count // slabs)
@@ -245,17 +248,30 @@ class DualPathBlock(Module):
                 [HybridLayer(inter_cfg, rng, dtype) for _ in range(n_inter)]
             )
 
-    def _layer(self, net, i):
-        return net if self.shared else net[i]
+    def steps(self, record=None) -> list:
+        """The block as one-argument calls, in order: each within-chunk
+        layer, the chunk/frame swap, each across-chunk layer, the swap back.
+        ``record``, if given, is called as ``record(net, iteration,
+        weights)`` per layer slab. A caller that rebinds its activation to
+        each call's result holds one activation between layers, not the
+        block's input as well."""
+
+        def layers(name, net, count):
+            return [partial(net if self.shared else net[i],
+                            record=None if record is None else partial(record, name, i))
+                    for i in range(count)]
+
+        return [*layers("intra", self.intra, self.n_intra), _swap_chunks,
+                *layers("inter", self.inter, self.n_inter), _swap_chunks]
 
     def __call__(self, h: Tensor, record=None) -> Tensor:
-        """(..., n_chunks, size, D) -> the same shape. ``record``, if given,
-        is called as ``record(net, iteration, weights)`` per layer slab."""
-        for i in range(self.n_intra):
-            bound = None if record is None else partial(record, "intra", i)
-            h = self._layer(self.intra, i)(h, bound)
-        h = T.swapaxes(h, -3, -2)            # (..., size, n_chunks, D)
-        for i in range(self.n_inter):
-            bound = None if record is None else partial(record, "inter", i)
-            h = self._layer(self.inter, i)(h, bound)
-        return T.swapaxes(h, -3, -2)
+        """(..., n_chunks, size, D) -> the same shape: ``steps(record)``
+        applied in turn."""
+        for step in self.steps(record):
+            h = step(h)
+        return h
+
+
+def _swap_chunks(h: Tensor) -> Tensor:
+    """(..., n_chunks, size, D) <-> (..., size, n_chunks, D)."""
+    return T.swapaxes(h, -3, -2)

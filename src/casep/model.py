@@ -23,7 +23,7 @@ from .chunking import overlap_add_slabs, segment
 from .codec import Decoder, Encoder, Waveform
 from .config import ModelConfig
 from .nn import Linear, LayerNorm, Module, ModuleList, PReLU
-from .tensor import ConfigError, Tensor, no_grad
+from .tensor import ConfigError, ShapeError, Tensor, no_grad
 
 
 class Separator(Module):
@@ -68,11 +68,14 @@ class Separator(Module):
 
         ``record``, if given, is called as ``record(block, net, iteration,
         weights)`` with each (k, heads, T, T) slab of every attention map."""
-        d = self.cfg.width
+        if 0 in samples.shape[:-1]:
+            raise ShapeError(f"cannot separate an empty batch of shape {samples.shape}")
         latent = self.encoder(samples)
         h = segment(self.pre_linear(self.pre_norm(latent)), self.cfg.chunk_size)
         for b, block in enumerate(self.blocks):
-            h = block(h, None if record is None else partial(record, b))
+            # one step at a time, so the block's input is not held through it
+            for step in block.steps(None if record is None else partial(record, b)):
+                h = step(h)
         # without a graph, the (post_linear, prelu) pair of a slab of chunks
         # takes the whole slab budget on this thread
         per_chunk = (2 * math.prod(h.shape[:-3]) * h.shape[-2]
@@ -80,13 +83,27 @@ class Separator(Module):
         flat = overlap_add_slabs(h, latent.shape[-2],          # (..., T_lat, D*K)
                                  lambda c: self.post_act(self.post_linear(c)),
                                  blocks.slab_size(h.shape[-3], per_chunk))
-        masks = []
-        for s in range(self.cfg.speakers):
-            group = flat[..., s * d : (s + 1) * d]
-            hidden = T.relu(self.mask_in[s](group))
-            mask = T.relu(self.mask_out[s](hidden))
-            masks.append(mask.reshape(mask.shape[:-2] + (1,) + mask.shape[-2:]))
-        return latent, T.concat(masks, -3)
+        del h                     # not read again; only ``flat`` is
+        d, speakers = self.cfg.width, self.cfg.speakers
+
+        def mask(s):
+            # speaker s's (..., T_lat, D) mask from its channel group, in one
+            # expression: each intermediate dies as the next op returns
+            return T.relu(self.mask_out[s](
+                T.relu(self.mask_in[s](flat[..., s * d : (s + 1) * d]))))
+
+        if T.grad_enabled():
+            masks = []
+            for s in range(speakers):
+                m = mask(s)
+                masks.append(m.reshape(m.shape[:-2] + (1,) + m.shape[-2:]))
+            return latent, T.concat(masks, -3)
+        # without a graph, each mask is written into one array as it is made,
+        # with no K-way join beside it
+        masks = np.empty(flat.shape[:-2] + (speakers, flat.shape[-2], d), flat.dtype)
+        for s in range(speakers):
+            masks[..., s, :, :] = mask(s).data
+        return latent, Tensor(masks)
 
     def forward(self, samples: Tensor) -> Tensor:
         """Waveform estimates (..., K, n) for (..., n) samples. Samples past

@@ -503,6 +503,8 @@ def attention(q, k, v, heads: int, scale: float):
         return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    if not _grad_enabled:
+        q = k = v = None        # free the projections: only their split copies are read
     probs = qh @ np.swapaxes(kh, -1, -2)
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)

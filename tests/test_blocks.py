@@ -27,10 +27,12 @@ class TestSlabSize:
 
     @pytest.mark.parametrize("budget, count, item_bytes, workers, size", [
         (146, 250, 1, 1, 125),          # room for 146: 125 + 125, not 146 + 104
-        (16 << 20, 33, 1_024_000, 1, 11),   # the full-scale mask head at batch 1
+        (8 << 20, 33, 1_024_000, 1, 7),     # the full-scale mask head at batch 1
+        (16 << 20, 33, 1_024_000, 1, 11),   # ... and at the former budget
         (292, 250, 1, 2, 125),          # each of two workers gets half the room
         (146, 7, 200, 1, 1),            # an item larger than the budget
         (146, 9, 16, 1, 9),             # every item fits: one slab
+        (146, 0, 16, 2, 1),             # no items: one slab of one
     ])
     def test_fewest_even_slabs(self, monkeypatch, budget, count, item_bytes,
                                workers, size):

@@ -1,9 +1,12 @@
 """Full separator assembly: preprocessing, block stack, mask head, decode."""
 
 import os
+import re
 import sys
 import threading
 import time
+import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +18,10 @@ from casep import blocks
 from casep import model as model_module
 from casep.blocks import HybridLayer
 from casep.checkpoint import model_state, save_checkpoint
-from casep.codec import Waveform
+from casep.codec import EncoderConfig, Waveform
+from casep.config import ModelConfig, PathConfig
 from casep.model import Separator
-from casep.tensor import ConfigError, Tensor, no_grad
+from casep.tensor import ConfigError, ShapeError, Tensor, no_grad
 from casep.training import dump_attention_run
 from casep.wavio import write_wav
 
@@ -119,6 +123,16 @@ class TestForward:
         assert np.all(estimates[..., 256:] == 0.0)
         assert np.all(np.any(estimates[..., :256] != 0.0, axis=-1))
 
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize("shape", [(0, 256), (2, 0, 256)])
+    def test_empty_batch_names_its_shape(self, graph, shape):
+        model = tiny_model()
+        x = Tensor(np.zeros(shape, dtype=np.float32))
+        with nullcontext() if graph else no_grad():
+            for run in (model.forward, model.masks_for):
+                with pytest.raises(ShapeError, match=re.escape(str(shape))):
+                    run(x)
+
     def test_outputs_finite(self):
         model = tiny_model()
         estimates = model.forward(sample_input(model))
@@ -175,6 +189,79 @@ class TestSeparate:
                                        ("inter", cfg.n_inter))
                     for i in range(count)}
         assert set(rec.slabs) == expected
+
+
+class TestTracedMemory:
+    """What a no-graph ``masks_for`` keeps alive, traced by tracemalloc on a
+    mid-size model (two blocks of two layers per direction) whose arrays are
+    large beside the interpreter's own allocations."""
+
+    @pytest.fixture
+    def model(self):
+        return Separator.build(ModelConfig(
+            encoder=EncoderConfig(filters=64, kernel=16, stride=8),
+            chunk_size=32, speakers=2, n_blocks=2, n_intra=2, n_inter=2,
+            shared=False,
+            intra=PathConfig(64, 32, 32, heads=4, kernel=9, ffn_dim=128),
+            inter=PathConfig(64, 32, 32, heads=4, kernel=5, ffn_dim=128),
+        ))
+
+    @pytest.fixture
+    def samples(self):
+        return Tensor(np.random.default_rng(6).standard_normal(4000)
+                      .astype(np.float32))
+
+    @staticmethod
+    def traced(run):
+        """``run()``'s result, the traced bytes when it started, and the
+        traced peak since the last ``tracemalloc.reset_peak``."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = run()
+            return out, base, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_layers_start_with_one_activation(self, model, samples, monkeypatch):
+        starts = []
+        original = HybridLayer.__call__
+
+        def spy(layer, h, record=None):
+            starts.append((tracemalloc.get_traced_memory()[0], h.data.nbytes))
+            return original(layer, h, record)
+
+        monkeypatch.setattr(HybridLayer, "__call__", spy)
+        with no_grad():
+            (latent, _), base, _ = self.traced(lambda: model.masks_for(samples))
+        assert len(starts) == 8
+        # the latent and the layer's input, not the block's input as well;
+        # a quarter of an activation of slack for small objects
+        for start, activation in starts:
+            assert start - base <= latent.data.nbytes + activation * 5 // 4
+
+    def test_mask_stage_writes_one_array(self, model, samples, monkeypatch):
+        _, graph_masks = model.masks_for(samples)
+        assert graph_masks.requires_grad
+        flats = []
+        original = model_module.overlap_add_slabs
+
+        def spy(*args):
+            flat = original(*args)
+            flats.append(flat.data.nbytes)
+            tracemalloc.reset_peak()          # the per-speaker stage starts
+            return flat
+
+        monkeypatch.setattr(model_module, "overlap_add_slabs", spy)
+        with no_grad():
+            (latent, masks), base, peak = self.traced(lambda: model.masks_for(samples))
+        assert np.array_equal(masks.data, graph_masks.data)
+        # the latent, the head's input, the masks and one speaker's pair of
+        # (T, D) arrays: no K-way join beside the K masks. The slack holds a
+        # finiteness check's boolean (T, D) array (pair / 8) and small objects.
+        pair = 2 * masks.data.nbytes // model.cfg.speakers
+        bound = latent.data.nbytes + flats[0] + masks.data.nbytes + pair
+        assert peak - base <= bound + pair // 4
 
 
 class TestSlabs:
