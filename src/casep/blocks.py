@@ -18,7 +18,8 @@ bounded however long the input is:
   sequence's score map or feed-forward pair, whichever is larger; the mask
   head's is a chunk's output pair, with the whole budget on the calling
   thread. A layer whose sequences fit one slab takes one pass on the
-  calling thread, as it always does while recording a graph.
+  calling thread, as it always does while recording a graph. A layer's
+  ``attention_maps`` come in its one-worker slabs, on the calling thread.
 - The slabs run on ``worker_count()`` threads: the calling thread plus a
   persistent pool, made once per thread count on first use. The count is
   the number of CPUs in the process's affinity mask divided by the BLAS
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -70,7 +71,8 @@ def worker_count() -> int:
     else:
         cpus = os.cpu_count() or 1
     value = next((v for v in map(os.environ.get, BLAS_THREAD_VARS) if v), "")
-    blas = int(value) if value.isdigit() and int(value) > 0 else cpus
+    # isdecimal, not isdigit: int() rejects digits such as "²"
+    blas = int(value) if value.isdecimal() and int(value) > 0 else cpus
     return max(1, cpus // blas)
 
 
@@ -167,57 +169,55 @@ class HybridLayer(Module):
         self.ffn_out = Linear(cfg.ffn_dim, cfg.width, rng, dtype=dtype)
         self.out_norm = LayerNorm(cfg.width, dtype=dtype)
 
-    def attention_path(self, ha: Tensor):
-        out, weights = self.attn(ha)
-        return self.attn_norm(T.add(out, ha)), weights
+    def attention_path(self, ha: Tensor) -> Tensor:
+        return self.attn_norm(T.add(self.attn(ha)[0], ha))
 
     def conv_path(self, hc: Tensor) -> Tensor:
         mixed = self.pointwise(T.depthwise_conv1d(hc, self.depthwise))
         return self.conv_norm(T.add(mixed, hc))
 
-    def __call__(self, h: Tensor, record=None) -> Tensor:
+    def _sequence_bytes(self, length: int, dtype) -> int:
+        """One sequence's score map or feed-forward pair, whichever is larger."""
+        scores = self.cfg.heads * length * length if self.attn is not None else 0
+        return max(scores, 2 * length * self.cfg.ffn_dim) * dtype.itemsize
+
+    def attention_maps(self, h: Tensor):
+        """Yields the (k, heads, T, T) attention map of each one-worker slab
+        of ``h``'s flattened (N, T, D) sequences, in sequence order, on the
+        calling thread. Each is the attention's working buffer, not a copy."""
+        flat = h.reshape((-1,) + h.shape[-2:])
+        _, ha = channel_split(flat, self.cfg.conv_channels, self.cfg.attn_channels)
+        size = slab_size(flat.shape[0], self._sequence_bytes(h.shape[-2], h.dtype))
+        for i in range(0, flat.shape[0], size):
+            yield self.attn(ha[i : i + size])[1]
+
+    def __call__(self, h: Tensor) -> Tensor:
         """Without graph recording, runs the flattened (N, T, D) sequences
-        in slabs on ``worker_count()`` threads. ``record``, if given, is
-        called with each slab's (k, heads, T, T) attention map, in sequence
-        order: it makes the layer run its slabs on the calling thread."""
+        in slabs on ``worker_count()`` threads."""
         lead, (length, width) = h.shape[:-2], h.shape[-2:]
         count = math.prod(lead)
         if T.grad_enabled():
-            return self._body(h, record)
-        cfg = self.cfg
-        workers = 1 if record is not None else worker_count()
-        # a sequence's score map or its feed-forward pair, whichever is larger
-        scores = cfg.heads * length * length if self.attn is not None else 0
-        per_sequence = max(scores, 2 * length * cfg.ffn_dim) * h.dtype.itemsize
-        size = slab_size(count, per_sequence, workers)
+            return self._body(h)
+        workers = worker_count()
+        size = slab_size(count, self._sequence_bytes(length, h.dtype), workers)
         if size >= count:
-            return self._body(h, record)
+            return self._body(h)
         flat = h.reshape((count, length, width))
         out = np.empty((count, length, width), dtype=h.dtype)
 
         def run(i):
-            out[i : i + size] = self._body(flat[i : i + size], record).data
+            out[i : i + size] = self._body(flat[i : i + size]).data
 
         _run_slabs(run, range(0, count, size), workers)
         return Tensor(out.reshape(h.shape))
 
-    def _body(self, h: Tensor, record) -> Tensor:
+    def _body(self, h: Tensor) -> Tensor:
         cfg = self.cfg
         hc, ha = channel_split(h, cfg.conv_channels, cfg.attn_channels)
-        if self.attn is not None:
-            attn_out, weights = self.attention_path(ha)
-            if record is not None:
-                record(weights.reshape((-1,) + weights.shape[-3:]))
-            del weights  # frees the (..., T, T) map before the feed-forward
-        else:
-            attn_out = None
+        attn_out = self.attention_path(ha) if self.attn is not None else None
         conv_out = self.conv_path(hc) if self.depthwise is not None else None
-        if attn_out is None:
-            fused = conv_out
-        elif conv_out is None:
-            fused = attn_out
-        else:
-            fused = T.concat([conv_out, attn_out], axis=-1)
+        parts = [p for p in (conv_out, attn_out) if p is not None]
+        fused = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
         ff = self.ffn_out(T.relu(self.ffn_in(fused)))
         return self.out_norm(T.add(ff, fused))
 
@@ -248,26 +248,22 @@ class DualPathBlock(Module):
                 [HybridLayer(inter_cfg, rng, dtype) for _ in range(n_inter)]
             )
 
-    def steps(self, record=None) -> list:
-        """The block as one-argument calls, in order: each within-chunk
-        layer, the chunk/frame swap, each across-chunk layer, the swap back.
-        ``record``, if given, is called as ``record(net, iteration,
-        weights)`` per layer slab. A caller that rebinds its activation to
-        each call's result holds one activation between layers, not the
-        block's input as well."""
+    def steps(self) -> dict:
+        """The block's one-argument calls by name, in order: ``intra.<i>``
+        per within-chunk layer, the chunk/frame ``swap``, ``inter.<i>`` per
+        across-chunk layer, the ``unswap``. A caller that rebinds its activation
+        to each call's result holds one activation, not the block's input too."""
 
-        def layers(name, net, count):
-            return [partial(net if self.shared else net[i],
-                            record=None if record is None else partial(record, name, i))
-                    for i in range(count)]
+        def layers(name, count):
+            net = getattr(self, name)
+            return {f"{name}.{i}": net if self.shared else net[i] for i in range(count)}
 
-        return [*layers("intra", self.intra, self.n_intra), _swap_chunks,
-                *layers("inter", self.inter, self.n_inter), _swap_chunks]
+        return {**layers("intra", self.n_intra), "swap": _swap_chunks,
+                **layers("inter", self.n_inter), "unswap": _swap_chunks}
 
-    def __call__(self, h: Tensor, record=None) -> Tensor:
-        """(..., n_chunks, size, D) -> the same shape: ``steps(record)``
-        applied in turn."""
-        for step in self.steps(record):
+    def __call__(self, h: Tensor) -> Tensor:
+        """(..., n_chunks, size, D) -> the same shape: ``steps()`` in turn."""
+        for step in self.steps().values():
             h = step(h)
         return h
 

@@ -86,8 +86,15 @@ def _cmd_dump_attention(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ``ConfigError``s (subparsers are of this class too)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="casep",
         description="Train, run, and inspect the dual-path separation model.",
     )
@@ -134,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             # numpy's overflow warnings only come before the error that
             # reports the non-finite value; the filter covers slab threads

@@ -12,7 +12,6 @@ the same code as one (n,) waveform.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -61,20 +60,33 @@ class Separator(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def masks_for(self, samples: Tensor, record=None):
-        """Latent features (..., latent_frames, filters) and the speakers'
-        non-negative masks (..., K, latent_frames, filters) for (..., n)
-        samples.
-
-        ``record``, if given, is called as ``record(block, net, iteration,
-        weights)`` with each (k, heads, T, T) slab of every attention map."""
+    def _chunks(self, samples: Tensor):
+        """The latent features and the chunks the first block reads."""
         if 0 in samples.shape[:-1]:
             raise ShapeError(f"cannot separate an empty batch of shape {samples.shape}")
         latent = self.encoder(samples)
-        h = segment(self.pre_linear(self.pre_norm(latent)), self.cfg.chunk_size)
-        for b, block in enumerate(self.blocks):
+        return latent, segment(self.pre_linear(self.pre_norm(latent)),
+                               self.cfg.chunk_size)
+
+    def layer_input(self, samples: Tensor, block: int, name: str):
+        """Step ``name`` of block ``block`` (a ``DualPathBlock.steps()`` key)
+        and its input for (..., n) samples. No later step runs."""
+        if not 0 <= block < len(self.blocks) or name not in self.blocks[block].steps():
+            raise ConfigError(f"the model has no step {name!r} in block {block}")
+        h = self._chunks(samples)[1]
+        for b, blk in enumerate(self.blocks):
+            for key, step in blk.steps().items():
+                if (b, key) == (block, name):
+                    return step, h
+                h = step(h)
+
+    def masks_for(self, samples: Tensor):
+        """Latent features (..., latent_frames, filters) and the speakers' non-negative
+        masks (..., K, latent_frames, filters) for (..., n) samples."""
+        latent, h = self._chunks(samples)
+        for block in self.blocks:
             # one step at a time, so the block's input is not held through it
-            for step in block.steps(None if record is None else partial(record, b)):
+            for step in block.steps().values():
                 h = step(h)
         # without a graph, the (post_linear, prelu) pair of a slab of chunks
         # takes the whole slab budget on this thread

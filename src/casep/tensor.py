@@ -54,7 +54,7 @@ def no_grad():
 
 
 def grad_enabled() -> bool:
-    """Whether ops record the graph; False inside ``no_grad``."""
+    """Whether ops build the graph; False inside ``no_grad``."""
     return _grad_enabled
 
 

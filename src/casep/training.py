@@ -329,63 +329,50 @@ def separate_files(ckpt_path: str, wav_path: str, out_dir: str) -> list[Path]:
     return paths
 
 
-@dataclass
-class AttentionSelector:
-    block: int
-    net: str        # "intra" or "inter"
-    iteration: int
-    head: int
-
-    @classmethod
-    def parse(cls, text: str) -> "AttentionSelector":
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise ConfigError(
-                f"selector {text!r} must be block:net:iteration:head"
-            )
-        b, net, it, head = parts
-        if net not in ("intra", "inter"):
-            raise ConfigError(f"selector net must be intra or inter, got {net!r}")
-        try:
-            return cls(int(b), net, int(it), int(head))
-        except ValueError as exc:
-            raise ConfigError(f"selector {text!r} has non-integer fields") from exc
+def parse_selector(text: str) -> tuple[int, str, int, int]:
+    """``block:net:iteration:head``, ``net`` being intra or inter."""
+    parts = text.split(":")
+    if len(parts) != 4:
+        raise ConfigError(f"selector {text!r} must be block:net:iteration:head")
+    if parts[1] not in ("intra", "inter"):
+        raise ConfigError(f"selector net must be intra or inter, got {parts[1]!r}")
+    try:
+        return int(parts[0]), parts[1], int(parts[2]), int(parts[3])
+    except ValueError as exc:
+        raise ConfigError(f"selector {text!r} has non-integer fields") from exc
 
 
 def dump_attention_run(ckpt_path: str, wav_path: str, selector_text: str,
                        out_dir: str) -> Path:
     model, _ = load_separator(ckpt_path)
     cfg = model.cfg
-    sel = AttentionSelector.parse(selector_text)
-    if not 0 <= sel.block < cfg.n_blocks:
-        raise ConfigError(f"block {sel.block} out of range [0, {cfg.n_blocks})")
-    reps = cfg.n_intra if sel.net == "intra" else cfg.n_inter
-    path_cfg = cfg.intra if sel.net == "intra" else cfg.inter
-    if not 0 <= sel.iteration < reps:
-        raise ConfigError(f"iteration {sel.iteration} out of range [0, {reps})")
+    block, net, iteration, head = parse_selector(selector_text)
+    if not 0 <= block < cfg.n_blocks:
+        raise ConfigError(f"block {block} out of range [0, {cfg.n_blocks})")
+    reps = cfg.n_intra if net == "intra" else cfg.n_inter
+    path_cfg = cfg.intra if net == "intra" else cfg.inter
+    if not 0 <= iteration < reps:
+        raise ConfigError(f"iteration {iteration} out of range [0, {reps})")
     if path_cfg.attn_channels == 0:
-        raise ConfigError(f"the {sel.net} layers have no attention path")
-    if not 0 <= sel.head < path_cfg.heads:
-        raise ConfigError(f"head {sel.head} out of range [0, {path_cfg.heads})")
+        raise ConfigError(f"the {net} layers have no attention path")
+    if not 0 <= head < path_cfg.heads:
+        raise ConfigError(f"head {head} out of range [0, {path_cfg.heads})")
 
     wav = _read_input(wav_path, cfg)
     total, count = 0.0, 0
-
-    def record(block, net, iteration, weights):
-        nonlocal total, count
-        if (block, net, iteration) == (sel.block, sel.net, sel.iteration):
-            # one row at a time, in sequence order: np.mean's axis-0 sum
-            for row in weights[:, sel.head]:
-                total = total + row
-            count += len(weights)
-
-    # the maps come from the mask network; nothing is decoded
+    # the network runs up to the selected layer only; nothing is decoded
     with no_grad():
-        model.masks_for(Tensor(np.asarray(wav.samples, dtype=cfg.dtype)), record)
+        layer, h = model.layer_input(Tensor(np.asarray(wav.samples, dtype=cfg.dtype)),
+                                     block, f"{net}.{iteration}")
+        for maps in layer.attention_maps(h):
+            # one row at a time, in sequence order: np.mean's axis-0 sum
+            for row in maps[:, head]:
+                total = total + row
+            count += len(maps)
     # averaged over the sequences, stays row-stochastic
     grid = total / count
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    p = out / f"attention_b{sel.block}_{sel.net}_i{sel.iteration}_h{sel.head}.txt"
+    p = out / f"attention_b{block}_{net}_i{iteration}_h{head}.txt"
     np.savetxt(p, grid, fmt="%.8e")
     return p

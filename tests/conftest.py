@@ -42,22 +42,6 @@ def fd_check(op, arrays, tol=1e-6, seed=0):
     assert worst < tol, f"finite differences disagree: {worst:.3e}"
 
 
-class MapRecord:
-    """A ``record`` callable that keeps every attention slab it is given,
-    keyed by the leading arguments (e.g. block, net, iteration)."""
-
-    def __init__(self):
-        self.slabs: dict[tuple, list[np.ndarray]] = {}
-
-    def __call__(self, *args):
-        *key, weights = args
-        self.slabs.setdefault(tuple(key), []).append(weights)
-
-    def maps(self) -> dict[tuple, np.ndarray]:
-        """Each key's slabs joined along the sequence axis."""
-        return {k: np.concatenate(v) for k, v in self.slabs.items()}
-
-
 def tiny_model_config(shared: bool = False, precision: str = "single",
                       speakers: int = 2) -> ModelConfig:
     """Smallest config that exercises every component."""

@@ -1,10 +1,7 @@
 """Hybrid attention+conv layer and the dual-path block."""
 
-from functools import partial
-
 import numpy as np
 import pytest
-from conftest import MapRecord
 
 import casep.tensor as T
 from casep import blocks
@@ -68,7 +65,7 @@ class TestAttentionPath:
         layer = make_layer()
         layer.attn.wo.data[:] = 0.0
         ha = Tensor(rng.standard_normal((2, 5, 4)).astype(np.float32))
-        out, _ = layer.attention_path(ha)
+        out = layer.attention_path(ha)
         expected = layer.attn_norm(ha)
         assert np.allclose(out.data, expected.data, atol=1e-6)
 
@@ -76,8 +73,8 @@ class TestAttentionPath:
         # one position: attention weights collapse to 1, context = value
         layer = make_layer()
         ha = Tensor(rng.standard_normal((2, 1, 4)).astype(np.float32))
-        out, weights = layer.attention_path(ha)
-        assert np.allclose(weights, 1.0)
+        out = layer.attention_path(ha)
+        assert np.allclose(layer.attn(ha)[1], 1.0)
         proj = (ha.data @ layer.attn.wv.data) @ layer.attn.wo.data
         expected = layer.attn_norm(Tensor(proj + ha.data))
         assert np.allclose(out.data, expected.data, atol=1e-6)
@@ -85,9 +82,8 @@ class TestAttentionPath:
     def test_shape_preserved(self, rng):
         layer = make_layer()
         ha = Tensor(rng.standard_normal((3, 7, 4)).astype(np.float32))
-        out, weights = layer.attention_path(ha)
-        assert out.shape == (3, 7, 4)
-        assert weights.shape == (3, 2, 7, 7)
+        assert layer.attention_path(ha).shape == (3, 7, 4)
+        assert layer.attn(ha)[1].shape == (3, 2, 7, 7)
 
 
 class TestConvPath:
@@ -261,29 +257,48 @@ class TestDualPathBlock:
 
 
 class TestAttentionRecorder:
-    """The ``record`` callable a block passes each layer's attention map."""
+    """The attention maps each layer of a block records of its own input."""
 
     def test_keys_and_shapes(self, rng):
+        # within-chunk maps span chunk frames, across-chunk maps span chunks
         block = DualPathBlock(path_cfg(), path_cfg(kernel=5), 2, 1, False,
                               np.random.default_rng(0))
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
-        rec = MapRecord()
-        block(chunks, partial(rec, 3))
-        assert set(rec.slabs) == {(3, "intra", 0), (3, "intra", 1),
-                                  (3, "inter", 0)}
-        assert all(len(slabs) == 1 for slabs in rec.slabs.values())
-        maps = rec.maps()
         n_chunks, size = chunks.shape[:2]
-        # within-chunk maps span chunk frames, across-chunk maps span chunks
-        assert maps[(3, "intra", 0)].shape == (n_chunks, 2, size, size)
-        assert maps[(3, "inter", 0)].shape == (size, 2, n_chunks, n_chunks)
+        with no_grad():
+            slabs = {("intra", 0): list(block.intra[0].attention_maps(chunks))}
+            h = block.intra[0](chunks)
+            slabs["intra", 1] = list(block.intra[1].attention_maps(h))
+            frames = T.swapaxes(block.intra[1](h), 0, 1)
+            slabs["inter", 0] = list(block.inter[0].attention_maps(frames))
+        assert all(len(s) == 1 for s in slabs.values())    # one slab each
+        assert slabs["intra", 0][0].shape == (n_chunks, 2, size, size)
+        assert slabs["intra", 1][0].shape == (n_chunks, 2, size, size)
+        assert slabs["inter", 0][0].shape == (size, 2, n_chunks, n_chunks)
 
     def test_rows_sum_to_one(self, rng):
         block = DualPathBlock(path_cfg(), path_cfg(kernel=5), 1, 1, False,
                               np.random.default_rng(0))
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
-        rec = MapRecord()
-        block(chunks, rec)
-        assert set(rec.slabs) == {("intra", 0), ("inter", 0)}
-        for grid in rec.maps().values():
+        with no_grad():
+            intra, = block.intra[0].attention_maps(chunks)
+            frames = T.swapaxes(block.intra[0](chunks), 0, 1)
+            inter, = block.inter[0].attention_maps(frames)
+        for grid in (intra, inter):
             assert np.allclose(grid.sum(axis=-1), 1.0, atol=1e-5)
+
+
+class TestAttentionMaps:
+    """A layer's attention maps of its input, slab by slab."""
+
+    def test_slabs_within_budget_join_to_one_pass(self, rng, monkeypatch):
+        layer = make_layer()
+        h = Tensor(rng.standard_normal((2, 5, 3, 8)).astype(np.float32))
+        budget = 4 * 2 * 3 * 16 * 4           # four sequences' (3, 16) pairs
+        monkeypatch.setattr(blocks, "SLAB_BYTES", budget)
+        with no_grad():
+            slabs = list(layer.attention_maps(h))
+            one = layer.attn(channel_split(h, 4, 4)[1])[1]
+        assert [len(m) for m in slabs] == [4, 4, 2]
+        assert max(m.nbytes for m in slabs) <= budget
+        assert np.array_equal(np.concatenate(slabs), one.reshape((10, 2, 3, 3)))

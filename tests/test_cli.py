@@ -71,6 +71,18 @@ def test_flag_census():
                      ("count-params", "--instantiate"), ("count-params", "--kv")}
 
 
+@pytest.mark.parametrize("argv", [["train"], ["grad-check", "x.cfg", "--seed", "x"],
+                                  ["frobnicate"]])
+def test_usage_error_is_a_cli_error(argv, capsys):
+    assert_one_line_error(main(argv), capsys)
+
+
+def test_help_is_not_an_error(capsys):
+    with pytest.raises(SystemExit, match="^0$"):
+        main(["train", "--help"])
+    assert capsys.readouterr().out.startswith("usage: casep train")
+
+
 @pytest.fixture
 def mixture_wav(tmp_path):
     mix, _ = gen_mixture(two_sine_spec(), 0)

@@ -11,14 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import MapRecord, tiny_model_config
+from conftest import tiny_model_config
 
 import casep.tensor as T
 from casep import blocks
 from casep import model as model_module
 from casep.blocks import HybridLayer
 from casep.checkpoint import model_state, save_checkpoint
-from casep.codec import EncoderConfig, Waveform
+from casep.codec import Decoder, EncoderConfig, Waveform
 from casep.config import ModelConfig, PathConfig
 from casep.model import Separator
 from casep.tensor import ConfigError, ShapeError, Tensor, no_grad
@@ -177,18 +177,19 @@ class TestSeparate:
             model.separate(Waveform(np.zeros(300, dtype=np.float32),
                                     sample_rate=16000))
 
-    def test_recorder_collects_all_layers(self):
-        model = tiny_model()
-        rec = MapRecord()
+    def test_layer_input_reaches_every_step(self):
+        model = Separator.build(replace(tiny_model_config(), n_blocks=2, n_intra=2))
+        x = Tensor(np.random.default_rng(2).standard_normal(300).astype(np.float32))
         with no_grad():
-            model.masks_for(Tensor(np.zeros(300, dtype=np.float32)), rec)
-        cfg = model.cfg
-        expected = {(b, net, i)
-                    for b in range(cfg.n_blocks)
-                    for net, count in (("intra", cfg.n_intra),
-                                       ("inter", cfg.n_inter))
-                    for i in range(count)}
-        assert set(rec.slabs) == expected
+            running = model.layer_input(x, 0, "intra.0")[1]
+            for b, block in enumerate(model.blocks):
+                for name, want in block.steps().items():
+                    step, h = model.layer_input(x, b, name)
+                    assert step is want and np.array_equal(h.data, running.data)
+                    running = step(h)         # the next step's input
+        for block, name in ((0, "intra.2"), (2, "intra.0"), (0, "inter")):
+            with pytest.raises(ConfigError, match="no step"):
+                model.layer_input(x, block, name)
 
 
 class TestTracedMemory:
@@ -227,9 +228,9 @@ class TestTracedMemory:
         starts = []
         original = HybridLayer.__call__
 
-        def spy(layer, h, record=None):
+        def spy(layer, h):
             starts.append((tracemalloc.get_traced_memory()[0], h.data.nbytes))
-            return original(layer, h, record)
+            return original(layer, h)
 
         monkeypatch.setattr(HybridLayer, "__call__", spy)
         with no_grad():
@@ -293,22 +294,20 @@ class TestSlabs:
     def test_separate_equals_one_slab_run(self, weights, monkeypatch):
         model = tiny_model()
         x = Tensor(self.wave().samples)
-        one_rec = MapRecord()
         with no_grad():
-            _, one = model.masks_for(x, one_rec)
-        assert [w.shape[0] for w in weights] == [8, 8]
+            _, one = model.masks_for(x)
+        one_maps = list(weights)
+        assert [w.shape[0] for w in one_maps] == [8, 8]
         weights.clear()
         monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-        rec = MapRecord()
         with no_grad():
-            _, slabbed = model.masks_for(x, rec)
+            _, slabbed = model.masks_for(x)
         assert [w.shape[0] for w in weights] == [3, 3, 2, 3, 3, 2]
         assert max(w.nbytes for w in weights) <= self.BUDGET
         assert np.array_equal(slabbed.data, one.data)
-        assert set(rec.slabs) == set(one_rec.slabs)
-        maps = rec.maps()
-        for key, grid in one_rec.maps().items():
-            assert np.array_equal(maps[key], grid), key
+        for layer, grid in enumerate(one_maps):
+            assert np.array_equal(np.concatenate(weights[3 * layer : 3 * layer + 3]),
+                                  grid), layer
 
     @pytest.mark.parametrize("fit", [5, 6, 7])
     def test_slabs_share_sequences_evenly(self, weights, monkeypatch, fit):
@@ -319,7 +318,7 @@ class TestSlabs:
         tiny_model().separate(self.wave())
         assert [w.shape[0] for w in weights] == [4, 4, 4, 4]
 
-    def test_dump_records_each_slab(self, monkeypatch, tmp_path):
+    def test_dump_is_the_same_for_any_slabs(self, weights, monkeypatch, tmp_path):
         model = tiny_model()
         ckpt = tmp_path / "tiny.tsep"
         save_checkpoint(ckpt, model.cfg, model_state(model))
@@ -331,43 +330,32 @@ class TestSlabs:
                                       str(tmp_path / name)).read_bytes()
 
         one = dump("one")
-        seen = []
-        original = HybridLayer.__call__
-
-        def spy(layer, h, record=None):
-            def check(weights):
-                seen.append(weights)
-                record(weights)
-            return original(layer, h, None if record is None else check)
-
-        monkeypatch.setattr(HybridLayer, "__call__", spy)
         monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-        assert dump("slabbed") == one
-        # one call per slab, never a map joined across slabs
-        assert [w.shape[:2] for w in seen] == [(3, 2), (3, 2), (2, 2)] * 2
-        assert max(w.nbytes for w in seen) <= self.BUDGET
+        # the intra layer's slabs, then the inter maps' on the calling thread
+        for workers, slabs in ((1, [3, 3, 2, 3, 3, 2]), (2, [1] * 8 + [3, 3, 2])):
+            monkeypatch.setattr(blocks, "worker_count", lambda: workers)
+            weights.clear()
+            assert dump(f"workers{workers}") == one
+            assert [w.shape[0] for w in weights] == slabs
+            assert max(w.nbytes for w in weights) <= self.BUDGET
 
     def test_batched_forward_equals_one_slab_run(self, weights, monkeypatch):
         model = tiny_model()
         batch = Tensor(np.random.default_rng(3).standard_normal((2, 300))
                        .astype(np.float32))
-        one_rec, rec = MapRecord(), MapRecord()
         with no_grad():
-            _, one_recorded = model.masks_for(batch, one_rec)
             _, one_masks = model.masks_for(batch)
+            one_maps = list(weights)
             weights.clear()
             monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-            _, recorded = model.masks_for(batch, rec)
-            assert [w.shape[0] for w in weights] == [3] * 5 + [1] + [3] * 5 + [1]
             _, masks = model.masks_for(batch)
-        assert np.array_equal(recorded.data, one_recorded.data)
+        assert [w.shape[0] for w in weights] == [3] * 5 + [1] + [3] * 5 + [1]
         assert np.array_equal(masks.data, one_masks.data)
-        # the one-pass run flattens its (2, 8) leading axes for ``record`` too
-        one_maps, maps = one_rec.maps(), rec.maps()
-        assert set(maps) == set(one_maps)
-        for key, grid in one_maps.items():
-            assert grid.shape == (16, 2, 8, 8)
-            assert np.array_equal(maps[key], grid), key
+        # the one-pass run keeps the (2, 8) leading axes; slabs flatten them
+        for layer, grid in enumerate(one_maps):
+            assert grid.shape == (2, 8, 2, 8, 8)
+            assert np.array_equal(np.concatenate(weights[6 * layer : 6 * layer + 6]),
+                                  grid.reshape((16, 2, 8, 8))), layer
 
     @pytest.mark.parametrize("fit", [5, 6, 7])
     def test_mask_head_slabs_are_even(self, monkeypatch, fit):
@@ -402,6 +390,38 @@ class TestSlabs:
         assert [w.shape[0] for w in weights] == [8, 8]
 
 
+class TestDumpStopsAtItsLayer:
+    """``dump-attention`` runs the network up to the layer it names: no
+    later step, no mask head and no decoder."""
+
+    BLOCK = ["intra", "intra", "swap", "inter", "inter", "swap"]
+
+    @pytest.mark.parametrize("selector, calls", [("0:intra:0:1", []),
+                                                 ("1:inter:1:0", BLOCK + BLOCK[:4])])
+    def test_runs_the_steps_before_its_layer(self, tmp_path, monkeypatch, selector,
+                                             calls):
+        cfg = replace(tiny_model_config(), n_blocks=2, n_intra=2, n_inter=2)
+        ckpt, wav = tmp_path / "tiny.tsep", tmp_path / "mix.wav"
+        save_checkpoint(ckpt, cfg, model_state(Separator.build(cfg)))
+        write_wav(wav, Waveform(np.random.default_rng(2).standard_normal(300)
+                                .astype(np.float32)))
+        seen = []
+
+        def spy(name, original):
+            def call(*args):        # a layer is named by its direction
+                seen.append(name or ("intra" if args[0].cfg == cfg.intra else "inter"))
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(HybridLayer, "__call__", spy(None, HybridLayer.__call__))
+        monkeypatch.setattr(blocks, "_swap_chunks", spy("swap", blocks._swap_chunks))
+        monkeypatch.setattr(model_module, "overlap_add_slabs",
+                            spy("head", model_module.overlap_add_slabs))
+        monkeypatch.setattr(Decoder, "__call__", spy("decoder", Decoder.__call__))
+        dump_attention_run(str(ckpt), str(wav), selector, str(tmp_path / "maps"))
+        assert seen == calls
+
+
 class TestSlabPool:
     """With two workers, a layer run without graph recording spreads its
     slabs over the calling thread and one pool thread."""
@@ -425,7 +445,7 @@ class TestSlabPool:
         barrier = threading.Barrier(2, timeout=30)
         original = HybridLayer._body
 
-        def spy(layer, h, record):
+        def spy(layer, h):
             thread = threading.current_thread()
             first = thread not in threads
             threads.append(thread)
@@ -433,8 +453,8 @@ class TestSlabPool:
                 barrier.wait()
                 if change is not None and thread is not caller:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        return original(layer, change(h), record)
-            return original(layer, h, record)
+                        return original(layer, change(h))
+            return original(layer, h)
 
         monkeypatch.setattr(HybridLayer, "_body", spy)
         return threads
@@ -471,21 +491,6 @@ class TestSlabPool:
             pooled = model.forward(batch).data
         assert len(threads) == 32 and len(set(threads)) == 2
         assert np.array_equal(pooled, one)
-
-    def test_record_runs_slabs_in_order_on_the_caller(self, two_workers, no_pool,
-                                                      monkeypatch):
-        model = tiny_model()
-        x = Tensor(self.wave().samples)
-        one_rec, rec = MapRecord(), MapRecord()
-        with no_grad():
-            _, one = model.masks_for(x, one_rec)
-            monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
-            _, got = model.masks_for(x, rec)
-        # the whole budget, not half: slabs of 2 as in a one-worker run
-        assert [len(v) for v in rec.slabs.values()] == [4, 4]
-        assert np.array_equal(got.data, one.data)
-        for key, grid in one_rec.maps().items():
-            assert np.array_equal(rec.maps()[key], grid), key
 
     def test_graph_and_small_inputs_start_no_pool(self, two_workers, no_pool,
                                                   monkeypatch):
@@ -566,6 +571,7 @@ class TestSlabPool:
         (4, {"OMP_NUM_THREADS": "0"}, 1),
         (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),            # taskset -c 0
         (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "\u00b2"}, 1),       # a digit int() rejects
     ])
     def test_worker_count_rule(self, monkeypatch, cpus, env, workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))

@@ -14,7 +14,6 @@ from casep.model import Separator
 from casep.nn import MultiHeadAttention
 from casep.tensor import ConfigError
 from casep.training import (
-    AttentionSelector,
     dump_attention_run,
     eval_model,
     eval_run,
@@ -22,6 +21,7 @@ from casep.training import (
     grad_check_report,
     grad_check_run,
     mixture_arrays,
+    parse_selector,
     separate_files,
     train_run,
 )
@@ -204,20 +204,19 @@ class TestSeparateFiles:
 
 class TestAttentionSelector:
     def test_parse_valid(self):
-        sel = AttentionSelector.parse("1:inter:0:3")
-        assert (sel.block, sel.net, sel.iteration, sel.head) == (1, "inter", 0, 3)
+        assert parse_selector("1:inter:0:3") == (1, "inter", 0, 3)
 
     def test_wrong_field_count(self):
         with pytest.raises(ConfigError, match="block:net:iteration:head"):
-            AttentionSelector.parse("1:intra:0")
+            parse_selector("1:intra:0")
 
     def test_bad_net(self):
         with pytest.raises(ConfigError, match="intra or inter"):
-            AttentionSelector.parse("0:middle:0:0")
+            parse_selector("0:middle:0:0")
 
     def test_non_integer(self):
         with pytest.raises(ConfigError, match="non-integer"):
-            AttentionSelector.parse("a:intra:0:0")
+            parse_selector("a:intra:0:0")
 
 
 class TestDumpAttention:
