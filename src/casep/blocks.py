@@ -185,6 +185,8 @@ class HybridLayer(Module):
         """Yields the (k, heads, T, T) attention map of each one-worker slab
         of ``h``'s flattened (N, T, D) sequences, in sequence order, on the
         calling thread. Each is the attention's working buffer, not a copy."""
+        if self.attn is None:
+            raise ConfigError("the layer has no attention path (attn_channels = 0)")
         flat = h.reshape((-1,) + h.shape[-2:])
         _, ha = channel_split(flat, self.cfg.conv_channels, self.cfg.attn_channels)
         size = slab_size(flat.shape[0], self._sequence_bytes(h.shape[-2], h.dtype))

@@ -1,11 +1,16 @@
 """The "TSEP" checkpoint container.
 
-Layout (all integers little-endian uint32):
+Layout, version 2 (all integers little-endian uint32):
 
     b"TSEP" | version | config_len | config utf-8 text
-    | tensor_count | { name_len | name utf-8 | rank | extents... | payload }*
+    | tensor_count | { name_len | name utf-8 | rank | extents... | padding
+    | payload }*
 
-Payloads are row-major 32-bit floats. The embedded config is the flat
+Payloads are row-major little-endian 32-bit floats. The padding is zero
+bytes up to the next file offset that is a multiple of ``ALIGN``, so every
+payload of a mapped file is an aligned array a model can use as its
+weights without a copy. Version 1 is the same layout without padding; it is
+still read, never written. The embedded config is the flat
 ``section.key = value`` text of the model (plus any extra run metadata the
 writer chooses to record), enough to rebuild the architecture without the
 original config file. Optimizer state rides along under reserved
@@ -29,7 +34,8 @@ from .nn import Module, unique_named
 from .tensor import ConfigError
 
 MAGIC = b"TSEP"
-VERSION = 1
+VERSION = 2
+ALIGN = 64
 
 
 def save_checkpoint(path, cfg: ModelConfig, tensors: dict[str, np.ndarray],
@@ -53,6 +59,7 @@ def save_checkpoint(path, cfg: ModelConfig, tensors: dict[str, np.ndarray],
                 arr = np.asarray(arr, dtype="<f4")
                 f.write(struct.pack(f"<I{len(blob)}sI{arr.ndim}I", len(blob), blob,
                                     arr.ndim, *arr.shape))
+                f.write(bytes(-f.tell() % ALIGN))
                 f.write(np.ascontiguousarray(arr).data)
         os.replace(tmp, path)
     except BaseException:
@@ -97,15 +104,17 @@ class _Reader:
 def load_checkpoint(path):
     """Returns (ModelConfig, raw config entries, {name: float32 array}).
 
-    The arrays are writable views into one private mapping of the whole
-    file. Writes to them stay in this process. Like any mapped file, one
-    truncated in place while its arrays are alive faults when they are
-    read; ``save_checkpoint`` replaces a file by rename, which is safe."""
+    Reads versions 1 and 2. The arrays are writable views into one private
+    mapping of the whole file; a version-2 array starts on an ``ALIGN``-byte
+    boundary. Writes to them stay in this process. Like any mapped file, one
+    rewritten in place while its arrays are alive can change their values,
+    and one truncated in place faults when they are read; ``save_checkpoint``
+    replaces a file by rename, which is safe."""
     r = _Reader(path)
     if r.take(4) != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint (bad magic)")
     version = r.u32()
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     entries = parse_flat(r.text("config"))
     cfg = model_config_from_flat(entries)
@@ -115,6 +124,8 @@ def load_checkpoint(path):
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
         count = math.prod(shape)   # Python ints: np.prod of huge extents wraps
+        if version == VERSION:
+            r.take(-r.pos % ALIGN)
         tensors[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
     if r.pos != len(r.blob):
         raise ConfigError(f"{path}: trailing bytes after last tensor")
@@ -127,11 +138,13 @@ def model_state(model: Module) -> dict[str, np.ndarray]:
 
 
 def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint weights into a built model's parameters, name by name.
+    """Give a built model's parameters the checkpoint's weights, name by name.
 
-    Each value is cast to the parameter's dtype and written into the array
-    the parameter already holds, so the model shares no memory with
-    ``tensors``."""
+    A parameter takes the checkpoint's array itself when that array already
+    has the parameter's dtype and is aligned and writable, as a single-
+    precision model's weights from a version-2 file are; otherwise it takes
+    an aligned copy cast to its dtype. The model may therefore share memory
+    with ``tensors``, and through them with the file's mapping."""
     weights = {k: v for k, v in tensors.items() if not k.startswith("optim.")}
     state = model_state(model)
     missing = sorted(set(state) - set(weights))
@@ -148,11 +161,15 @@ def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
                 f"shape mismatch for {name}: checkpoint {arr.shape} "
                 f"vs model {p.data.shape}"
             )
-        np.copyto(p.data, arr)
+        p.data = np.require(arr, p.data.dtype, "CAW")
 
 
 def load_separator(path) -> tuple[Separator, dict[str, str]]:
-    """Rebuild the model a checkpoint stores: (model, raw config entries)."""
+    """Rebuild the model a checkpoint stores: (model, raw config entries).
+
+    A single-precision model from a version-2 file reads its weights from
+    the file's private mapping for as long as it lives (see
+    ``load_checkpoint``)."""
     cfg, entries, tensors = load_checkpoint(path)
     model = Separator.build(cfg, seed=None)
     load_model_state(model, tensors)

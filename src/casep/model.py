@@ -52,8 +52,9 @@ class Separator(Module):
 
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int | None = 0) -> "Separator":
-        """The model with weights drawn from ``seed``; with ``seed=None`` the
-        random weights are zeros, for a caller that loads every weight."""
+        """The model with weights drawn from ``seed``. With ``seed=None`` the
+        random weights are read-only zeros that hold no memory, for a caller
+        that replaces every weight (``load_model_state``) or only counts them."""
         rng = None if seed is None else np.random.default_rng(
             np.random.SeedSequence((seed, 0)))
         return cls(cfg, rng)

@@ -19,9 +19,10 @@ class Parameter(Tensor):
 
 def uniform_init(rng: np.random.Generator | None, shape, bound: float,
                  dtype) -> np.ndarray:
-    """Uniform in [-bound, bound); zeros, with no draw, when ``rng`` is None."""
+    """Uniform in [-bound, bound). When ``rng`` is None: no draw, and a
+    read-only zero broadcast to ``shape`` that holds no memory."""
     if rng is None:
-        return np.zeros(shape, dtype=dtype)
+        return np.broadcast_to(np.zeros((), dtype), shape)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 

@@ -302,3 +302,9 @@ class TestAttentionMaps:
         assert [len(m) for m in slabs] == [4, 4, 2]
         assert max(m.nbytes for m in slabs) <= budget
         assert np.array_equal(np.concatenate(slabs), one.reshape((10, 2, 3, 3)))
+
+    def test_layer_without_attention_is_a_config_error(self, rng):
+        layer = make_layer(PathConfig(8, 0, 8, heads=1, kernel=3, ffn_dim=16))
+        h = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
+        with no_grad(), pytest.raises(ConfigError, match="no attention path"):
+            next(layer.attention_maps(h))

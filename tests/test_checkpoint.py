@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from conftest import tiny_model_config
 
 from casep.checkpoint import (
+    ALIGN,
     MAGIC,
     VERSION,
     load_checkpoint,
@@ -17,7 +19,7 @@ from casep.checkpoint import (
     model_state,
     save_checkpoint,
 )
-from casep.config import model_config_to_flat, serialize_flat
+from casep.config import default_model_config, model_config_to_flat, serialize_flat
 from casep.model import Separator
 from casep.tensor import ConfigError
 
@@ -25,6 +27,18 @@ from casep.tensor import ConfigError
 @pytest.fixture
 def ckpt_path(tmp_path):
     return tmp_path / "model.ckpt"
+
+
+def layout(version, cfg, state, extra, align):
+    """The file ``save_checkpoint`` writes, each payload padded to ``align``."""
+    config = serialize_flat({**model_config_to_flat(cfg), **extra}).encode()
+    out = MAGIC + struct.pack("<II", version, len(config)) + config
+    out += struct.pack("<I", len(state))
+    for name, arr in state.items():
+        out += struct.pack(f"<I{len(name)}sI{arr.ndim}I", len(name), name.encode(),
+                           arr.ndim, *arr.shape)
+        out += bytes(-len(out) % align) + arr.astype("<f4").tobytes()
+    return out
 
 
 class TestRoundTrip:
@@ -69,29 +83,38 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("shared, precision", [
         (False, "single"), (False, "double"), (True, "single")])
-    def test_load_copies_into_built_parameters(self, ckpt_path, shared, precision):
+    def test_load_adopts_aligned_payloads(self, ckpt_path, shared, precision):
+        # single precision takes the mapped payloads themselves, double
+        # precision a float64 copy of each
         cfg = tiny_model_config(shared=shared, precision=precision)
         save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
         _, _, tensors = load_checkpoint(ckpt_path)
         fresh = Separator.build(cfg, seed=99)
-        arrays = {name: p.data for name, p in fresh.named_parameters()}
         load_model_state(fresh, tensors)
-        for name, p in fresh.named_parameters():
-            assert p.data is arrays[name], name
-            assert p.data.dtype == cfg.dtype
-            assert np.array_equal(p.data, tensors[name].astype(cfg.dtype)), name
+        for name, arr in model_state(fresh).items():
+            assert arr.dtype == cfg.dtype and arr.flags.writeable, name
+            assert np.array_equal(arr, tensors[name].astype(cfg.dtype)), name
+            assert np.shares_memory(arr, tensors[name]) == (precision == "single"), name
+            if precision == "single":
+                assert arr.ctypes.data % ALIGN == 0, name
 
-    def test_loaded_dict_does_not_alias_model(self, ckpt_path):
+    def test_writes_to_loaded_model_never_reach_file(self, ckpt_path):
         cfg = tiny_model_config()
         save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=3)))
-        _, _, tensors = load_checkpoint(ckpt_path)
-        fresh = Separator.build(cfg, seed=99)
-        load_model_state(fresh, tensors)
-        before = {name: a.copy() for name, a in model_state(fresh).items()}
-        for arr in tensors.values():
+        before = ckpt_path.read_bytes()
+        loaded, _ = load_separator(ckpt_path)
+        for arr in model_state(loaded).values():
             arr[...] = np.nan
-        for name, arr in model_state(fresh).items():
-            assert np.array_equal(arr, before[name]), name
+        assert ckpt_path.read_bytes() == before
+
+    def test_model_keeps_weights_after_file_is_replaced(self, ckpt_path):
+        cfg = tiny_model_config()
+        state = model_state(Separator.build(cfg, seed=3))
+        save_checkpoint(ckpt_path, cfg, state)
+        loaded, _ = load_separator(ckpt_path)
+        save_checkpoint(ckpt_path, cfg, model_state(Separator.build(cfg, seed=4)))
+        for name, arr in model_state(loaded).items():
+            assert np.array_equal(arr, state[name]), name
 
     def test_writes_to_loaded_arrays_stay_in_memory(self, ckpt_path):
         cfg = tiny_model_config()
@@ -164,6 +187,25 @@ class TestRoundTrip:
         assert sum(a.size for a in state.values()) == model.param_count()
 
 
+class TestLoadMemory:
+    def test_full_scale_load_holds_weights_once(self, ckpt_path):
+        # the model takes the mapped payloads, which tracemalloc does not
+        # see; only weights held in fresh memory are traced
+        cfg = default_model_config()
+        state = model_state(Separator.build(cfg, seed=0))
+        save_checkpoint(ckpt_path, cfg, state)
+        weight_bytes = sum(a.nbytes for a in state.values())
+        del state
+        tracemalloc.start()
+        try:
+            loaded, _ = load_separator(ckpt_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.param_count() * 4 == weight_bytes
+        assert peak < weight_bytes / 4
+
+
 class TestLayoutDetails:
     def test_header_bytes(self, ckpt_path):
         save_checkpoint(ckpt_path, tiny_model_config(), {})
@@ -186,15 +228,20 @@ class TestLayoutDetails:
         state = model_state(Separator.build(cfg, seed=3))
         assert state["post_act.slope"].shape == ()
         save_checkpoint(ckpt_path, cfg, state, {"trained.steps": "5"})
-        config = serialize_flat({**model_config_to_flat(cfg),
-                                 "trained.steps": "5"}).encode()
-        want = [MAGIC, struct.pack("<II", VERSION, len(config)), config,
-                struct.pack("<I", len(state))]
+        assert ckpt_path.read_bytes() == layout(
+            VERSION, cfg, state, {"trained.steps": "5"}, align=64)
+
+    def test_version_1_loads_bit_exact(self, ckpt_path):
+        # unpadded: most payloads sit at offsets no float32 array may start at
+        cfg = tiny_model_config()
+        state = model_state(Separator.build(cfg, seed=3))
+        ckpt_path.write_bytes(layout(1, cfg, state, {"trained.steps": "5"}, align=1))
+        loaded, entries = load_separator(ckpt_path)
+        assert entries["trained.steps"] == "5"
+        got = model_state(loaded)
         for name, arr in state.items():
-            want += [struct.pack("<I", len(name)), name.encode(),
-                     struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
-                     arr.astype("<f4").tobytes()]
-        assert ckpt_path.read_bytes() == b"".join(want)
+            assert got[name].dtype == np.float32 and got[name].flags.aligned, name
+            assert np.array_equal(got[name], arr), name
 
 
 class TestErrorPaths:
@@ -218,6 +265,20 @@ class TestErrorPaths:
         blob = ckpt_path.read_bytes()
         ckpt_path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ConfigError, match="truncated"):
+            load_checkpoint(ckpt_path)
+
+    def test_file_cut_inside_padding(self, ckpt_path):
+        cfg = tiny_model_config()
+        save_checkpoint(ckpt_path, cfg, {"w": np.zeros(3)})
+        blob = ckpt_path.read_bytes()
+        config = serialize_flat(model_config_to_flat(cfg)).encode()
+        # magic, version and config length, config, tensor count, then
+        # name length and "w", rank and one extent
+        header_end = 4 + 8 + len(config) + 4 + (4 + 1) + 4 + 4
+        payload_start = len(blob) - 3 * 4
+        assert payload_start % ALIGN == 0 and payload_start > header_end
+        ckpt_path.write_bytes(blob[: payload_start - 1])
+        with pytest.raises(ConfigError, match="truncated checkpoint file"):
             load_checkpoint(ckpt_path)
 
     def test_extents_that_wrap_int64_are_truncated(self, ckpt_path):

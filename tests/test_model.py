@@ -19,7 +19,7 @@ from casep import model as model_module
 from casep.blocks import HybridLayer
 from casep.checkpoint import model_state, save_checkpoint
 from casep.codec import Decoder, EncoderConfig, Waveform
-from casep.config import ModelConfig, PathConfig
+from casep.config import ModelConfig, PathConfig, default_model_config
 from casep.model import Separator
 from casep.tensor import ConfigError, ShapeError, Tensor, no_grad
 from casep.training import dump_attention_run
@@ -263,6 +263,15 @@ class TestTracedMemory:
         pair = 2 * masks.data.nbytes // model.cfg.speakers
         bound = latent.data.nbytes + flats[0] + masks.data.nbytes + pair
         assert peak - base <= bound + pair // 4
+
+
+class TestSeedlessBuild:
+    def test_holds_no_weight_memory(self):
+        # a loader replaces every weight, so the zeros it builds are not stored
+        model, base, peak = TestTracedMemory.traced(
+            lambda: Separator.build(default_model_config(), seed=None))
+        weight_bytes = sum(a.nbytes for a in model_state(model).values())
+        assert peak - base < weight_bytes / 8
 
 
 class TestSlabs:
