@@ -48,8 +48,7 @@ from .nn import (
     Module,
     ModuleList,
     MultiHeadAttention,
-    Parameter,
-    uniform_init,
+    uniform_param,
 )
 from .tensor import ConfigError, Tensor
 
@@ -154,10 +153,8 @@ class HybridLayer(Module):
             self.attn_norm = None
         if cfg.conv_channels > 0:
             # depthwise taps: each channel owns one length-L kernel row
-            bound = np.sqrt(1.0 / cfg.kernel)
-            self.depthwise = Parameter(
-                uniform_init(rng, (cfg.conv_channels, cfg.kernel), bound, dtype)
-            )
+            self.depthwise = uniform_param(rng, (cfg.conv_channels, cfg.kernel),
+                                           cfg.kernel, dtype)
             self.pointwise = Linear(cfg.conv_channels, cfg.conv_channels, rng,
                                     dtype=dtype)
             self.conv_norm = LayerNorm(cfg.conv_channels, dtype=dtype)

@@ -124,6 +124,8 @@ def load_checkpoint(path):
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
         count = math.prod(shape)   # Python ints: np.prod of huge extents wraps
+        if name in tensors:
+            raise ConfigError(f"{path}: checkpoint lists tensor {name} twice")
         if version == VERSION:
             r.take(-r.pos % ALIGN)
         tensors[name] = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)

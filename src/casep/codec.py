@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import Module, conv_weight
+from .nn import Module, uniform_param
 from .tensor import ConfigError, ShapeError, Tensor
 
 
@@ -64,10 +64,8 @@ class Encoder(Module):
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         self.cfg = cfg
-        self.kernels = conv_weight(
-            rng, (cfg.filters, 1, cfg.kernel), fan_in=1, length=cfg.kernel,
-            dtype=dtype,
-        )
+        self.kernels = uniform_param(rng, (cfg.filters, 1, cfg.kernel), cfg.kernel,
+                                     dtype)
 
     def __call__(self, samples: Tensor) -> Tensor:
         cfg = self.cfg
@@ -86,10 +84,8 @@ class Decoder(Module):
 
     def __init__(self, cfg: EncoderConfig, rng, dtype=np.float32):
         self.cfg = cfg
-        self.kernels = conv_weight(
-            rng, (cfg.filters, 1, cfg.kernel), fan_in=cfg.filters,
-            length=cfg.kernel, dtype=dtype,
-        )
+        self.kernels = uniform_param(rng, (cfg.filters, 1, cfg.kernel),
+                                     cfg.filters * cfg.kernel, dtype)
 
     def __call__(self, masks: Tensor, latent: Tensor, length: int) -> Tensor:
         if len(masks.shape) < 3 or masks.shape[:-3] + masks.shape[-2:] != latent.shape:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -112,14 +112,14 @@ class SyntheticSpec:
     length: int = 512
     sample_rate: int = 8000
     kind: str = "sinusoid"
-    bands: list[tuple[float, float]] = field(
-        default_factory=lambda: [(100.0, 400.0), (1000.0, 2000.0)]
-    )
+    bands: tuple[tuple[float, float], ...] = ((100.0, 400.0), (1000.0, 2000.0))
     level_db_lo: float = 0.0
     level_db_hi: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a passed list of pairs becomes a tuple, so the spec stays as checked
+        object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
         if self.n_sources < 1:
             raise ConfigError("need at least one source")
         if self.kind not in ("sinusoid", "noise_band"):
@@ -229,7 +229,7 @@ _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
 
 
-def _bands(value: str) -> list[tuple[float, float]]:
+def _bands(value: str) -> tuple[tuple[float, float], ...]:
     bands = []
     for part in value.split(";"):
         part = part.strip()
@@ -239,11 +239,11 @@ def _bands(value: str) -> list[tuple[float, float]]:
         bands.append((float(lo), float(hi)))
     if not bands:
         raise ConfigError("empty band list")
-    return bands
+    return tuple(bands)
 
 
 _PARSERS = {"int": int, "float": float, "str": str,
-            "list[tuple[float, float]]": _bands}
+            "tuple[tuple[float, float], ...]": _bands}
 
 
 def _convert(key: str, kind: str, value: str):
@@ -274,8 +274,7 @@ def _read(cls, entries: dict[str, str], section: str, **given):
     for key, f in keys.items():
         if key in entries:
             values[f.name] = _convert(key, f.type, entries[key])
-        elif f.name in _REQUIRED or (f.default is MISSING
-                                     and f.default_factory is MISSING):
+        elif f.name in _REQUIRED or f.default is MISSING:
             raise ConfigError(f"missing required config key {key}")
     return cls(**values)
 

@@ -4,9 +4,10 @@ The mask network runs on chunked latent features: normalize + project,
 segment into half-overlapping chunks, a stack of dual-path blocks, a
 projection to one channel group per speaker, overlap-add back to flat
 frames, and a per-speaker head that emits non-negative masks. The K masks
-share one speaker axis: they gate the shared latent and decode in one
-pass. Every stage carries optional leading axes, so a (B, n) batch runs
-the same code as one (n,) waveform.
+share one speaker axis: with or without a graph they are joined by one
+``concat`` once the head's input is released, then gate the shared latent
+and decode in one pass. Every stage carries optional leading axes, so a
+(B, n) batch runs the same code as one (n,) waveform.
 """
 
 from __future__ import annotations
@@ -97,26 +98,16 @@ class Separator(Module):
                                  lambda c: self.post_act(self.post_linear(c)),
                                  blocks.slab_size(h.shape[-3], per_chunk))
         del h                     # not read again; only ``flat`` is
-        d, speakers = self.cfg.width, self.cfg.speakers
-
-        def mask(s):
+        d = self.cfg.width
+        masks = []
+        for s in range(self.cfg.speakers):
             # speaker s's (..., T_lat, D) mask from its channel group, in one
             # expression: each intermediate dies as the next op returns
-            return T.relu(self.mask_out[s](
+            m = T.relu(self.mask_out[s](
                 T.relu(self.mask_in[s](flat[..., s * d : (s + 1) * d]))))
-
-        if T.grad_enabled():
-            masks = []
-            for s in range(speakers):
-                m = mask(s)
-                masks.append(m.reshape(m.shape[:-2] + (1,) + m.shape[-2:]))
-            return latent, T.concat(masks, -3)
-        # without a graph, each mask is written into one array as it is made,
-        # with no K-way join beside it
-        masks = np.empty(flat.shape[:-2] + (speakers, flat.shape[-2], d), flat.dtype)
-        for s in range(speakers):
-            masks[..., s, :, :] = mask(s).data
-        return latent, Tensor(masks)
+            masks.append(m.reshape(m.shape[:-2] + (1,) + m.shape[-2:]))
+        del flat                  # as large as the masks; freed before their join
+        return latent, T.concat(masks, -3)
 
     def forward(self, samples: Tensor) -> Tensor:
         """Waveform estimates (..., K, n) for (..., n) samples. Samples past

@@ -17,23 +17,14 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
-def uniform_init(rng: np.random.Generator | None, shape, bound: float,
-                 dtype) -> np.ndarray:
-    """Uniform in [-bound, bound). When ``rng`` is None: no draw, and a
-    read-only zero broadcast to ``shape`` that holds no memory."""
+def uniform_param(rng: np.random.Generator | None, shape, fan_in: int,
+                  dtype) -> Parameter:
+    """Uniform in [-sqrt(1/fan_in), sqrt(1/fan_in)). When ``rng`` is None: no
+    draw, and a read-only zero broadcast to ``shape`` that holds no memory."""
     if rng is None:
-        return np.broadcast_to(np.zeros((), dtype), shape)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def linear_weight(rng, fan_in: int, fan_out: int, dtype=np.float32) -> Parameter:
+        return Parameter(np.broadcast_to(np.zeros((), dtype), shape))
     bound = math.sqrt(1.0 / fan_in)
-    return Parameter(uniform_init(rng, (fan_in, fan_out), bound, dtype))
-
-
-def conv_weight(rng, shape, fan_in: int, length: int, dtype=np.float32) -> Parameter:
-    bound = math.sqrt(1.0 / (fan_in * length))
-    return Parameter(uniform_init(rng, shape, bound, dtype))
+    return Parameter(rng.uniform(-bound, bound, size=shape).astype(dtype))
 
 
 def zeros_param(shape, dtype=np.float32) -> Parameter:
@@ -108,7 +99,8 @@ class Linear(Module):
                  dtype=np.float32):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = linear_weight(rng, in_features, out_features, dtype)
+        self.weight = uniform_param(rng, (in_features, out_features), in_features,
+                                    dtype)
         self.bias = zeros_param((out_features,), dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -154,10 +146,10 @@ class MultiHeadAttention(Module):
         self.heads = heads
         self.head_dim = width // heads
         self.scale = 1.0 / math.sqrt(self.head_dim)
-        self.wq = linear_weight(rng, width, width, dtype)
-        self.wk = linear_weight(rng, width, width, dtype)
-        self.wv = linear_weight(rng, width, width, dtype)
-        self.wo = linear_weight(rng, width, width, dtype)
+        self.wq = uniform_param(rng, (width, width), width, dtype)
+        self.wk = uniform_param(rng, (width, width), width, dtype)
+        self.wv = uniform_param(rng, (width, width), width, dtype)
+        self.wo = uniform_param(rng, (width, width), width, dtype)
 
     def __call__(self, x: Tensor):
         if x.shape[-1] != self.width:

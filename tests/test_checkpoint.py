@@ -1,6 +1,7 @@
 """Binary checkpoint container: layout, round trips, error paths."""
 
 import os
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -297,6 +298,18 @@ class TestErrorPaths:
         ckpt_path.write_bytes(ckpt_path.read_bytes() + b"junk")
         with pytest.raises(ConfigError, match="trailing"):
             load_checkpoint(ckpt_path)
+
+    def test_repeated_tensor_rejected(self, ckpt_path):
+        # a whole model plus a second encoder.kernels, which would win
+        cfg = tiny_model_config()
+        state = model_state(Separator.build(cfg, seed=0))
+        state["encoder.kernelz"] = np.zeros_like(state["encoder.kernels"])
+        blob = layout(VERSION, cfg, state, {}, align=ALIGN)
+        ckpt_path.write_bytes(blob.replace(b"encoder.kernelz", b"encoder.kernels"))
+        message = f"{ckpt_path}: checkpoint lists tensor encoder.kernels twice"
+        for load in (load_checkpoint, load_separator):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                load(ckpt_path)
 
     def test_missing_weight_rejected(self, ckpt_path):
         cfg = tiny_model_config()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import SMOKE_CONFIG_TEXT, two_sine_spec
 
-from casep import blocks, nn
+from casep import blocks, codec, nn
 from casep.checkpoint import load_checkpoint, model_state, save_checkpoint
 from casep.cli import build_parser, main
 from casep.codec import Waveform
@@ -45,15 +45,15 @@ def assert_one_line_error(code, capsys):
 def draws(monkeypatch):
     """The shape of every weight drawn from a random generator."""
     shapes = []
-    original = nn.uniform_init
+    original = nn.uniform_param
 
-    def spy(rng, shape, bound, dtype):
+    def spy(rng, shape, fan_in, dtype):
         if rng is not None:
             shapes.append(shape)
-        return original(rng, shape, bound, dtype)
+        return original(rng, shape, fan_in, dtype)
 
-    monkeypatch.setattr(nn, "uniform_init", spy)
-    monkeypatch.setattr(blocks, "uniform_init", spy)
+    for module in (nn, blocks, codec):
+        monkeypatch.setattr(module, "uniform_param", spy)
     return shapes
 
 

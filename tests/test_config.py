@@ -149,7 +149,7 @@ class TestOtherSections:
     def test_synthetic_spec(self):
         entries = parse_flat(SMOKE_CONFIG_TEXT)
         spec = synthetic_spec_from_flat(entries, n_sources=2, sample_rate=8000)
-        assert spec.bands == [(200.0, 400.0), (1000.0, 2000.0)]
+        assert spec.bands == ((200.0, 400.0), (1000.0, 2000.0))
         assert spec.length == 512 and spec.kind == "sinusoid"
 
     def test_train_settings(self):
@@ -187,7 +187,7 @@ class TestOtherSections:
         read = [
             (synthetic_spec_from_flat(entries, n_sources=2, sample_rate=16000),
              SyntheticSpec(), dict(length=300, kind="noise_band",
-                                   bands=[(150.0, 450.0), (900.0, 1800.0)],
+                                   bands=((150.0, 450.0), (900.0, 1800.0)),
                                    level_db_lo=-6.5, level_db_hi=3.25, seed=11)),
             (train_settings_from_flat(entries), TrainSettings(),
              dict(steps=7, lr=0.02, batch=3, seed=5, beta1=0.8, beta2=0.95,
@@ -267,6 +267,16 @@ class TestValidators:
         for f in fields(cfg):
             with pytest.raises(FrozenInstanceError):
                 setattr(cfg, f.name, getattr(cfg, f.name))
+
+    def test_synthetic_bands_cannot_change(self):
+        # a passed list is stored as a tuple: the checked band count holds
+        spec = SyntheticSpec(bands=[(200.0, 400.0), (1000.0, 2000.0)])
+        assert spec.bands == ((200.0, 400.0), (1000.0, 2000.0))
+        with pytest.raises(AttributeError):
+            spec.bands.append((3000.0, 3500.0))
+        with pytest.raises(TypeError):
+            spec.bands[0][0] = 300.0
+        assert hash(spec) == hash(SyntheticSpec(bands=spec.bands))
 
     def test_degenerate_paths_validate(self):
         PathConfig(16, 16, 0, heads=2, kernel=1, ffn_dim=64)

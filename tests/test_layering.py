@@ -2,6 +2,9 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import casep
@@ -42,6 +45,16 @@ def test_private_tensor_names_stay_in_tensor():
             if extra:
                 found[path.name] = sorted(extra)
     assert found == {}
+
+
+def test_package_import_loads_no_submodule():
+    # callers import the submodule they use; the package itself is empty
+    code = ("import sys, casep\n"
+            "print(sorted(m for m in sys.modules if m.startswith('casep.')))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout == "[]\n"
 
 
 def test_scanner_sees_both_import_forms():

@@ -241,7 +241,8 @@ class TestTracedMemory:
         for start, activation in starts:
             assert start - base <= latent.data.nbytes + activation * 5 // 4
 
-    def test_mask_stage_writes_one_array(self, model, samples, monkeypatch):
+    def test_mask_stage_drops_head_input_before_join(self, model, samples,
+                                                     monkeypatch):
         _, graph_masks = model.masks_for(samples)
         assert graph_masks.requires_grad
         flats = []
@@ -257,12 +258,25 @@ class TestTracedMemory:
         with no_grad():
             (latent, masks), base, peak = self.traced(lambda: model.masks_for(samples))
         assert np.array_equal(masks.data, graph_masks.data)
-        # the latent, the head's input, the masks and one speaker's pair of
-        # (T, D) arrays: no K-way join beside the K masks. The slack holds a
-        # finiteness check's boolean (T, D) array (pair / 8) and small objects.
-        pair = 2 * masks.data.nbytes // model.cfg.speakers
-        bound = latent.data.nbytes + flats[0] + masks.data.nbytes + pair
-        assert peak - base <= bound + pair // 4
+        # the head's input is as large as the masks. While the second mask is
+        # made: the latent, the head's input, the first mask and the second's
+        # pair of (T, D) arrays; at the join: the latent and the masks twice,
+        # the head's input freed. The slack holds a finiteness check's boolean
+        # (T, D) array (mask / 4) and small objects.
+        mask = masks.data.nbytes // model.cfg.speakers
+        assert flats[0] == masks.data.nbytes
+        bound = latent.data.nbytes + flats[0] + 3 * masks.data.nbytes // 2
+        assert peak - base <= bound + mask // 2
+
+    def test_three_speakers_match_with_and_without_graph(self):
+        model = tiny_model(speakers=3)
+        x = sample_input(model, n=300)
+        latent, graph_masks = model.masks_for(x)
+        with no_grad():
+            free_latent, masks = model.masks_for(x)
+        assert masks.shape == (3,) + latent.shape
+        assert np.array_equal(free_latent.data, latent.data)
+        assert np.array_equal(masks.data, graph_masks.data)
 
 
 class TestSeedlessBuild:
