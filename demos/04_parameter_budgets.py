@@ -4,7 +4,7 @@ Model-size accounting without building the model
 
 Every tensor in the separator has a closed-form size, so whole-model
 budgets come from arithmetic. This script prints the nine reference
-configurations, then verifies one of them against an instantiated model.
+configurations, then verifies one of them against the built model.
 """
 
 from casep.analyzer import REFERENCE_BUDGETS, model_param_report

@@ -5,7 +5,7 @@ Two kinds of counts live here. The weight-only closed forms (attention
 just the projection/kernel matrices, matching how such budgets are usually
 quoted. The model report counts every parameter a built model actually
 owns, biases and norm scales included, and must equal the enumerated
-count of the instantiated model exactly.
+count of the built model exactly.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def count_table(width: int, kernel: int) -> dict[str, int]:
     }
 
 
-# -- full instantiated counts ---------------------------------------------
+# -- full built-model counts ----------------------------------------------
 
 
 def layer_param_counts(cfg: PathConfig) -> dict[str, int]:

@@ -42,14 +42,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import PathConfig
-from .nn import (
-    Linear,
-    LayerNorm,
-    Module,
-    ModuleList,
-    MultiHeadAttention,
-    uniform_param,
-)
+from .nn import Linear, LayerNorm, Module, MultiHeadAttention, uniform_param
 from .tensor import ConfigError, Tensor
 
 
@@ -94,12 +87,19 @@ def _helpers(threads: int):
     return ThreadPoolExecutor(threads, thread_name_prefix="casep-slab")
 
 
+def _graph_free(fn) -> None:
+    """``fn()`` under ``no_grad`` on this thread: slabs run only without a
+    graph, and a pool thread does not inherit its caller's mode."""
+    with T.no_grad():
+        fn()
+
+
 def _run_slabs(run, starts, workers: int) -> None:
     """Call ``run(start)`` once for each of ``starts`` on the calling thread
     and up to ``workers - 1`` pool threads, each taking the next start when
-    it is free. Returns when every call has; the first error raised on the
-    calling thread, else in a helper, is raised here, and no start is
-    handed out after an error.
+    it is free, the helpers under ``no_grad``. Returns when every call has;
+    the first error raised on the calling thread, else in a helper, is
+    raised here, and no start is handed out after an error.
 
     The calling thread takes slabs too, rather than waiting on a pool of
     ``workers`` threads: that pool put the slab temporaries in a second
@@ -118,7 +118,7 @@ def _run_slabs(run, starts, workers: int) -> None:
 
     n_helpers = min(workers, len(starts)) - 1
     pool = _helpers(workers - 1) if n_helpers > 0 else None
-    helpers = [pool.submit(drain) for _ in range(n_helpers)]
+    helpers = [pool.submit(_graph_free, drain) for _ in range(n_helpers)]
     try:
         drain()
     finally:
@@ -132,9 +132,7 @@ def channel_split(h: Tensor, conv_channels: int, attn_channels: int):
     """Split (..., D) into conv [0, D_c) and attention [D_c, D) slices."""
     width = h.shape[-1]
     if conv_channels + attn_channels != width:
-        raise ConfigError(
-            f"split {conv_channels}+{attn_channels} != width {width}"
-        )
+        raise ConfigError(f"split {conv_channels}+{attn_channels} != width {width}")
     hc = h[..., :conv_channels]
     ha = h[..., conv_channels:]
     return hc, ha
@@ -240,12 +238,8 @@ class DualPathBlock(Module):
             self.intra = HybridLayer(intra_cfg, rng, dtype)
             self.inter = HybridLayer(inter_cfg, rng, dtype)
         else:
-            self.intra = ModuleList(
-                [HybridLayer(intra_cfg, rng, dtype) for _ in range(n_intra)]
-            )
-            self.inter = ModuleList(
-                [HybridLayer(inter_cfg, rng, dtype) for _ in range(n_inter)]
-            )
+            self.intra = [HybridLayer(intra_cfg, rng, dtype) for _ in range(n_intra)]
+            self.inter = [HybridLayer(inter_cfg, rng, dtype) for _ in range(n_inter)]
 
     def steps(self) -> dict:
         """The block's one-argument calls by name, in order: ``intra.<i>``

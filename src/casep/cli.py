@@ -69,15 +69,11 @@ def _cmd_count_params(args) -> int:
     entries = _load_entries(args.config)
     cfg = model_config_from_flat(entries)
     # only the parameter count is read, so no weights are drawn
-    model = Separator.build(cfg, seed=None) if args.instantiate else None
-    report = model_param_report(cfg, model)
+    report = model_param_report(cfg, Separator.build(cfg, seed=None))
     print(format_param_report(report))
     if args.kv:
         Path(args.kv).write_text(serialize_flat(param_report_kv(report)))
-    if report.total_empirical is not None \
-            and report.total_empirical != report.total_analytic:
-        return 1
-    return 0
+    return 0 if report.total_empirical == report.total_analytic else 1
 
 
 def _cmd_dump_attention(args) -> int:
@@ -123,10 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coords", type=int, default=200)
     p.set_defaults(fn=_cmd_grad_check)
 
-    p = sub.add_parser("count-params", help="analytic parameter budget")
+    p = sub.add_parser("count-params",
+                       help="analytic parameter budget, checked against the built model")
     p.add_argument("config")
-    p.add_argument("--instantiate", action="store_true",
-                   help="also build the model and enumerate its tensors")
     p.add_argument("--kv", metavar="PATH", default=None,
                    help="write the machine-readable report here")
     p.set_defaults(fn=_cmd_count_params)
@@ -151,6 +146,9 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeError, WavFormatError, NonFiniteError, RuntimeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -179,6 +179,9 @@ class TrainSettings:
             raise ConfigError("learning rate must be positive")
         if not math.isfinite(self.eps) or self.eps <= 0:
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= beta < 1:    # NaN fails too
+                raise ConfigError(f"train.{name} must lie in [0, 1), got {beta}")
 
 
 @dataclass(frozen=True)

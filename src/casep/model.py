@@ -22,7 +22,7 @@ from .blocks import DualPathBlock
 from .chunking import overlap_add_slabs, segment
 from .codec import Decoder, Encoder, Waveform
 from .config import ModelConfig
-from .nn import Linear, LayerNorm, Module, ModuleList, PReLU
+from .nn import Linear, LayerNorm, Module, PReLU
 from .tensor import ConfigError, ShapeError, Tensor, no_grad
 
 
@@ -34,21 +34,13 @@ class Separator(Module):
         self.encoder = Encoder(cfg.encoder, rng, dtype)
         self.pre_norm = LayerNorm(d, dtype=dtype)
         self.pre_linear = Linear(d, d, rng, dtype=dtype)
-        self.blocks = ModuleList(
-            [
-                DualPathBlock(cfg.intra, cfg.inter, cfg.n_intra, cfg.n_inter,
-                              cfg.shared, rng, dtype)
-                for _ in range(cfg.n_blocks)
-            ]
-        )
+        self.blocks = [DualPathBlock(cfg.intra, cfg.inter, cfg.n_intra, cfg.n_inter,
+                                     cfg.shared, rng, dtype)
+                       for _ in range(cfg.n_blocks)]
         self.post_linear = Linear(d, d * cfg.speakers, rng, dtype=dtype)
         self.post_act = PReLU(dtype=dtype)
-        self.mask_in = ModuleList(
-            [Linear(d, d, rng, dtype=dtype) for _ in range(cfg.speakers)]
-        )
-        self.mask_out = ModuleList(
-            [Linear(d, d, rng, dtype=dtype) for _ in range(cfg.speakers)]
-        )
+        self.mask_in = [Linear(d, d, rng, dtype=dtype) for _ in range(cfg.speakers)]
+        self.mask_out = [Linear(d, d, rng, dtype=dtype) for _ in range(cfg.speakers)]
         self.decoder = Decoder(cfg.encoder, rng, dtype)
 
     @classmethod

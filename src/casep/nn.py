@@ -48,9 +48,10 @@ class Module:
     """Base class whose parameters are found by walking its attributes.
 
     ``named_parameters`` yields the Parameter attributes, then the dotted
-    paths into the Module and ModuleList attributes, each group in
-    assignment order. A module instance reachable through several paths is
-    reported once per path, so ``parameters()`` deduplicates by identity.
+    paths into the Module attributes and the lists of Modules (``name.<i>.``),
+    each group in assignment order. A module instance reachable through
+    several paths is reported once per path, so ``parameters()``
+    deduplicates by identity.
     """
 
     def named_parameters(self, prefix: str = ""):
@@ -59,8 +60,11 @@ class Module:
             if isinstance(value, Parameter):
                 yield prefix + name, value
         for name, value in attrs:
-            if isinstance(value, (Module, ModuleList)):
+            if isinstance(value, Module):
                 yield from value.named_parameters(f"{prefix}{name}.")
+            elif isinstance(value, list):
+                for i, module in enumerate(value):
+                    yield from module.named_parameters(f"{prefix}{name}.{i}.")
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in unique_named(self.named_parameters())]
@@ -72,26 +76,6 @@ class Module:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-
-class ModuleList:
-    """An ordered, indexable container of submodules."""
-
-    def __init__(self, modules=()):
-        self._items = list(modules)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
-
-    def named_parameters(self, prefix: str = ""):
-        for i, m in enumerate(self._items):
-            yield from m.named_parameters(f"{prefix}{i}.")
 
 
 class Linear(Module):
@@ -153,9 +137,7 @@ class MultiHeadAttention(Module):
 
     def __call__(self, x: Tensor):
         if x.shape[-1] != self.width:
-            raise ShapeError(
-                f"attention input width {x.shape[-1]} != {self.width}"
-            )
+            raise ShapeError(f"attention input width {x.shape[-1]} != {self.width}")
         ctx, weights = T.attention(T.linear(x, self.wq), T.linear(x, self.wk),
                                    T.linear(x, self.wv), self.heads, self.scale)
         return T.linear(ctx, self.wo), weights

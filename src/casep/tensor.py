@@ -15,6 +15,7 @@ were checked when made, so their outputs are finite too.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,25 +38,31 @@ class NonFiniteError(ArithmeticError):
     """An operation produced NaN or Inf."""
 
 
-# Graph recording can be suspended (inference).
-_grad_enabled = True
+class _Mode(threading.local):
+    """Whether ops record the graph, per thread: ``no_grad`` on one thread
+    leaves every other thread recording. The default is a class attribute,
+    so a thread that never set the mode reads it without the miss that
+    ``getattr(local, name, default)`` pays on every call."""
+    enabled = True
+
+
+_mode = _Mode()
 
 
 @contextmanager
 def no_grad():
-    """Suspend graph recording inside the block."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Suspend graph recording on this thread inside the block."""
+    prev = _mode.enabled
+    _mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _mode.enabled = prev
 
 
 def grad_enabled() -> bool:
-    """Whether ops build the graph; False inside ``no_grad``."""
-    return _grad_enabled
+    """Whether ops on this thread build the graph; False inside ``no_grad``."""
+    return _mode.enabled
 
 
 def _check_finite(arr: np.ndarray, op: str = "operation") -> None:
@@ -96,37 +103,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
     # -- operator sugar ---------------------------------------------------
 
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -143,14 +126,10 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape):
         return reshape(self, shape)
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
+    def transpose(self, axes):
         return transpose(self, axes)
 
     # -- backward pass ----------------------------------------------------
@@ -158,9 +137,7 @@ class Tensor:
     def backward(self) -> None:
         """Run reverse-mode differentiation from this scalar."""
         if self.data.shape != ():
-            raise ContractError(
-                f"backward requires a scalar, got shape {self.data.shape}"
-            )
+            raise ContractError(f"backward requires a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
             raise ContractError("backward on a tensor with no graph")
 
@@ -215,7 +192,7 @@ def _from_op(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -503,7 +480,7 @@ def attention(q, k, v, heads: int, scale: float):
         return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], -1))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    if not _grad_enabled:
+    if not _mode.enabled:
         q = k = v = None        # free the projections: only their split copies are read
     probs = qh @ np.swapaxes(kh, -1, -2)
     probs *= scale

@@ -67,8 +67,6 @@ def train_run(entries: dict[str, str], resume: str | None = None,
     cfg = model_config_from_flat(entries)
     spec = synthetic_spec_from_flat(entries, cfg.speakers, cfg.sample_rate)
     settings = train_settings_from_flat(entries)
-    out_dir = Path(settings.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if resume is None:
         model = Separator.build(cfg, settings.seed)
@@ -81,7 +79,13 @@ def train_run(entries: dict[str, str], resume: str | None = None,
     if resume is not None:
         # the file is mapped copy-on-write: a second read copies no weights
         opt.load_state(load_checkpoint(resume)[2])
+        if opt.step_count >= settings.steps:
+            # raised before anything is written: the finished run stays as it is
+            raise ConfigError(f"{resume}: the checkpoint is at step {opt.step_count} "
+                              f"and train.steps is {settings.steps}; no step is left")
     start_step = opt.step_count
+    out_dir = Path(settings.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     dtype = cfg.dtype
     losses: list[float] = []
@@ -112,9 +116,7 @@ def train_run(entries: dict[str, str], resume: str | None = None,
                                    "trained.steps": str(settings.steps)})
 
     chash = config_hash(entries)
-    (out_dir / "losses.txt").write_text(
-        "".join(f"{v:.9f}\n" for v in losses)
-    )
+    (out_dir / "losses.txt").write_text("".join(f"{v:.9f}\n" for v in losses))
     final_loss = losses[-1] if losses else float("nan")
     text = "\n".join([
         "training run",

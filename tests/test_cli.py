@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import SMOKE_CONFIG_TEXT, two_sine_spec
 
-from casep import blocks, codec, nn
+from casep import blocks, cli, codec, nn
 from casep.checkpoint import load_checkpoint, model_state, save_checkpoint
 from casep.cli import build_parser, main
 from casep.codec import Waveform
@@ -68,7 +68,7 @@ def test_flag_census():
              if option not in ("-h", "--help")}
     assert flags == {("train", "--resume"),
                      ("grad-check", "--seed"), ("grad-check", "--coords"),
-                     ("count-params", "--instantiate"), ("count-params", "--kv")}
+                     ("count-params", "--kv")}
 
 
 @pytest.mark.parametrize("argv", [["train"], ["grad-check", "x.cfg", "--seed", "x"],
@@ -98,9 +98,26 @@ class TestTrain:
         assert "step " in out and "training run" in out
         assert (tmp_path / "run" / "model.tsep").exists()
 
+    @staticmethod
+    def more_steps(config_file):
+        """The config with train.steps raised from 4 to 6, so a resume from
+        the 4-step run has steps left."""
+        config_file.write_text(config_file.read_text().replace(
+            "train.steps = 4", "train.steps = 6"))
+
     def test_resume_flag(self, config_file, trained, capsys):
+        self.more_steps(config_file)
         assert main(["train", str(config_file), "--resume", str(trained)]) == 0
-        assert "steps          4 -> 4" in capsys.readouterr().out
+        assert "steps          4 -> 6" in capsys.readouterr().out
+
+    def test_resume_with_no_step_left_writes_nothing(self, config_file, trained,
+                                                     capsys):
+        run = trained.parent
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code = main(["train", str(config_file), "--resume", str(trained)])
+        line = assert_one_line_error(code, capsys)
+        assert "the checkpoint is at step 4 and train.steps is 4" in line
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_resume_without_optimizer_state_is_a_cli_error(self, config_file,
                                                           tmp_path, capsys):
@@ -124,6 +141,7 @@ class TestTrain:
         Separator.build(cfg, 0)
         assert draws    # the spy sees a seeded build
         draws.clear()
+        self.more_steps(config_file)
         assert main(["train", str(config_file), "--resume", str(trained)]) == 0
         assert draws == []
 
@@ -154,6 +172,26 @@ class TestTrain:
         config_file.write_text(config_file.read_text() + edits)
         code = main(["train", str(config_file)])
         assert named in assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("edits", ["train.beta1 = 1.5\n", "train.beta2 = nan\n"])
+    def test_bad_beta_creates_no_out_dir(self, config_file, tmp_path, capsys, edits):
+        config_file.write_text(config_file.read_text() + edits)
+        code = main(["train", str(config_file)])
+        assert "must lie in [0, 1)" in assert_one_line_error(code, capsys)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 745. GiB", "error: out of memory: Unable to allocate 745. GiB\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_out_of_memory_is_a_cli_error(self, config_file, monkeypatch, capsys,
+                                          message, line):
+        # a stand-in for numpy's allocation error: nothing is allocated
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "train_run", fail)
+        assert assert_one_line_error(main(["train", str(config_file)]), capsys) == line
 
     def test_non_utf8_config_is_a_cli_error(self, config_file, capsys):
         config_file.write_bytes(config_file.read_bytes() + b"# \xff\xfe\n")
@@ -313,13 +351,12 @@ class TestCountParams:
 
     def test_instantiated_match_and_kv(self, config_file, tmp_path, capsys):
         kv_path = tmp_path / "params.kv"
-        assert main(["count-params", str(config_file), "--instantiate",
-                     "--kv", str(kv_path)]) == 0
+        assert main(["count-params", str(config_file), "--kv", str(kv_path)]) == 0
         assert "== analytic" in capsys.readouterr().out
         assert "params.total_empirical" in kv_path.read_text()
 
     def test_instantiate_draws_no_weights(self, config_file, draws, capsys):
-        assert main(["count-params", str(config_file), "--instantiate"]) == 0
+        assert main(["count-params", str(config_file)]) == 0
         assert draws == []
 
 

@@ -205,6 +205,12 @@ class TestOtherSections:
         with pytest.raises(ConfigError, match="learning rate must be finite"):
             train_settings_from_flat({"train.lr": lr})
 
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    @pytest.mark.parametrize("beta", [1.0, -0.1, float("nan")])
+    def test_betas_outside_unit_interval_rejected(self, name, beta):
+        with pytest.raises(ConfigError, match=rf"train\.{name} must lie in \[0, 1\)"):
+            TrainSettings(**{name: beta})
+
     @pytest.mark.parametrize("key, value, named", [
         ("data.level_db_lo", "nan", "level_db_lo nan"),
         ("data.level_db_hi", "7000", "level_db_hi 7000.0"),

@@ -315,6 +315,7 @@ class TestSlabs:
                         .astype(np.float32))
 
     def test_separate_equals_one_slab_run(self, weights, monkeypatch):
+        monkeypatch.setattr(blocks, "worker_count", lambda: 1)
         model = tiny_model()
         x = Tensor(self.wave().samples)
         with no_grad():
@@ -363,6 +364,7 @@ class TestSlabs:
             assert max(w.nbytes for w in weights) <= self.BUDGET
 
     def test_batched_forward_equals_one_slab_run(self, weights, monkeypatch):
+        monkeypatch.setattr(blocks, "worker_count", lambda: 1)
         model = tiny_model()
         batch = Tensor(np.random.default_rng(3).standard_normal((2, 300))
                        .astype(np.float32))
@@ -514,6 +516,22 @@ class TestSlabPool:
             pooled = model.forward(batch).data
         assert len(threads) == 32 and len(set(threads)) == 2
         assert np.array_equal(pooled, one)
+
+    def test_pool_thread_records_no_graph(self, two_workers, monkeypatch):
+        # the caller's no_grad is its own thread's: the pool thread enters
+        # no_grad itself, so no slab's attention builds a graph
+        modes = []
+        original = T.attention
+
+        def spy(*args):
+            modes.append(T.grad_enabled())
+            return original(*args)
+
+        monkeypatch.setattr(T, "attention", spy)
+        monkeypatch.setattr(blocks, "SLAB_BYTES", self.BUDGET)
+        threads = self.meet(monkeypatch)
+        tiny_model().separate(self.wave())
+        assert len(set(threads)) == 2 and modes == [False] * 16
 
     def test_graph_and_small_inputs_start_no_pool(self, two_workers, no_pool,
                                                   monkeypatch):

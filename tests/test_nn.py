@@ -8,7 +8,6 @@ from casep.nn import (
     Linear,
     LayerNorm,
     Module,
-    ModuleList,
     MultiHeadAttention,
     Parameter,
     PReLU,
@@ -29,9 +28,7 @@ class TestModuleRegistration:
     def test_module_list_paths(self):
         class Stack(Module):
             def __init__(self):
-                self.layers = ModuleList(
-                    [Linear(2, 2, np.random.default_rng(i)) for i in range(2)]
-                )
+                self.layers = [Linear(2, 2, np.random.default_rng(i)) for i in range(2)]
 
         names = [n for n, _ in Stack().named_parameters()]
         assert names == ["layers.0.weight", "layers.0.bias",
