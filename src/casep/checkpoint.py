@@ -148,14 +148,13 @@ def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
     an aligned copy cast to its dtype. The model may therefore share memory
     with ``tensors``, and through them with the file's mapping."""
     weights = {k: v for k, v in tensors.items() if not k.startswith("optim.")}
-    state = model_state(model)
-    missing = sorted(set(state) - set(weights))
+    lookup = dict(unique_named(model.named_parameters()))
+    missing = sorted(set(lookup) - set(weights))
     if missing:
         raise ConfigError(f"checkpoint lacks weights for: {', '.join(missing[:5])}")
-    extra = sorted(set(weights) - set(state))
+    extra = sorted(set(weights) - set(lookup))
     if extra:
         raise ConfigError(f"checkpoint has unknown weights: {', '.join(extra[:5])}")
-    lookup = dict(model.named_parameters())
     for name, arr in weights.items():
         p = lookup[name]
         if tuple(arr.shape) != p.data.shape:

@@ -16,10 +16,9 @@ from .analyzer import format_param_report, model_param_report, param_report_kv
 from .config import SECTIONS, model_config_from_flat, parse_flat, \
     serialize_flat, synthetic_spec_from_flat
 from .model import Separator
-from .tensor import ConfigError, NonFiniteError, ShapeError
+from .tensor import ConfigError, NonFiniteError
 from .training import dump_attention_run, eval_run, grad_check_report, \
     grad_check_run, separate_files, train_run
-from .wavio import WavFormatError
 
 
 def _load_entries(path: str) -> dict[str, str]:
@@ -143,8 +142,8 @@ def main(argv=None) -> int:
             # reports the non-finite value; the filter covers slab threads
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.fn(args)
-    except (ConfigError, ShapeError, WavFormatError, NonFiniteError, RuntimeError,
-            OSError) as exc:
+    # ValueError: ConfigError, ShapeError, WavFormatError, numpy's "array is too big"
+    except (ValueError, NonFiniteError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

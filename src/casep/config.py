@@ -200,6 +200,7 @@ class EvalSettings:
 
 def parse_flat(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,6 +211,9 @@ def parse_flat(text: str) -> dict[str, str]:
         key = key.strip()
         if not key or "." not in key:
             raise ConfigError(f"line {lineno}: keys must look like section.name")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key} repeats line {seen[key]}")
+        seen[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -18,6 +18,7 @@ from . import tensor as T
 from .tensor import ContractError, Tensor
 
 _EPS = 1e-8   # added to every power in a ratio: silent signals stay finite
+MAX_SPEAKERS = 4   # the assignment search tries all K! permutations
 
 
 def _as_signal(x, axes: int = 1) -> Tensor:
@@ -96,8 +97,9 @@ def upit_loss(ests, targets) -> PitResult:
         raise ContractError(
             f"estimate count {k} != target count {targets.shape[-2]}"
         )
-    if k > 4:
-        raise ContractError("exhaustive assignment search supports at most 4 speakers")
+    if k > MAX_SPEAKERS:
+        raise ContractError(
+            f"exhaustive assignment search supports at most {MAX_SPEAKERS} speakers")
     pair = si_snr(ests.reshape(ests.shape[:-1] + (1, ests.shape[-1])),   # (..., K, K)
                   targets.reshape(targets.shape[:-2] + (1,) + targets.shape[-2:]))
     per_pair = pair.data.astype(np.float64)

@@ -27,14 +27,6 @@ def uniform_param(rng: np.random.Generator | None, shape, fan_in: int,
     return Parameter(rng.uniform(-bound, bound, size=shape).astype(dtype))
 
 
-def zeros_param(shape, dtype=np.float32) -> Parameter:
-    return Parameter(np.zeros(shape, dtype=dtype))
-
-
-def ones_param(shape, dtype=np.float32) -> Parameter:
-    return Parameter(np.ones(shape, dtype=dtype))
-
-
 def unique_named(named_params) -> list[tuple[str, Parameter]]:
     """(name, parameter) pairs in order, keeping the first name of each
     parameter object; shared weights appear once."""
@@ -85,28 +77,26 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = uniform_param(rng, (in_features, out_features), in_features,
                                     dtype)
-        self.bias = zeros_param((out_features,), dtype)
+        self.bias = Parameter(np.zeros(out_features, dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, width: int, eps: float = 1e-5, dtype=np.float32):
-        self.width = width
-        self.eps = eps
-        self.gamma = ones_param((width,), dtype)
-        self.beta = zeros_param((width,), dtype)
+    def __init__(self, width: int, dtype=np.float32):
+        self.gamma = Parameter(np.ones(width, dtype))
+        self.beta = Parameter(np.zeros(width, dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class PReLU(Module):
     """Single learnable negative slope, applied elementwise."""
 
-    def __init__(self, init: float = 0.25, dtype=np.float32):
-        self.slope = Parameter(np.asarray(init, dtype=dtype))
+    def __init__(self, dtype=np.float32):
+        self.slope = Parameter(np.asarray(0.25, dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.prelu(x, self.slope)

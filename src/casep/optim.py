@@ -15,9 +15,9 @@ class Adam:
 
     The update is ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with the epsilon
     added outside the square root. Each moment is one flat buffer over all
-    parameters, and ``step`` runs the update once over it; ``_m[name]`` and
-    ``_v[name]`` are views of a parameter's share. State tensors share the
-    parameters' one dtype so checkpointed state round-trips exactly.
+    parameters, and ``step`` runs the update once over it; ``_slices`` gives
+    each parameter's share. State tensors share the parameters' one dtype so
+    checkpointed state round-trips exactly.
     """
 
     def __init__(self, named_params, lr: float = 1.5e-4,
@@ -43,12 +43,6 @@ class Adam:
             total += p.size
         self._m_flat = np.zeros(total, dtype=dtypes.pop() if dtypes else np.float32)
         self._v_flat = np.zeros_like(self._m_flat)
-        self._m = self._views(self._m_flat)
-        self._v = self._views(self._v_flat)
-
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[sl].reshape(p.data.shape)
-                for (name, p), sl in zip(self._entries, self._slices)}
 
     def step(self) -> None:
         self.step_count += 1
@@ -75,9 +69,9 @@ class Adam:
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Flat view of optimizer state for serialization."""
         out = {"optim.step": np.array([float(self.step_count)], dtype=np.float32)}
-        for name, _ in self._entries:
-            out[f"optim.m.{name}"] = self._m[name]
-            out[f"optim.v.{name}"] = self._v[name]
+        for (name, p), sl in zip(self._entries, self._slices):
+            out[f"optim.m.{name}"] = self._m_flat[sl].reshape(p.data.shape)
+            out[f"optim.v.{name}"] = self._v_flat[sl].reshape(p.data.shape)
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
@@ -90,6 +84,6 @@ class Adam:
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ConfigError(f"optimizer state shape mismatch for {name}")
         self.step_count = int(round(float(tensors["optim.step"][0])))
-        for name, _ in self._entries:
-            self._m[name][...] = tensors[f"optim.m.{name}"]
-            self._v[name][...] = tensors[f"optim.v.{name}"]
+        for (name, _), sl in zip(self._entries, self._slices):
+            self._m_flat[sl] = tensors[f"optim.m.{name}"].reshape(-1)
+            self._v_flat[sl] = tensors[f"optim.v.{name}"].reshape(-1)

@@ -75,8 +75,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         _check_finite(arr)
@@ -341,11 +341,9 @@ def reshape(a, shape) -> Tensor:
     return _from_op(a.data.reshape(shape), (a,), bwd)
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _wrap(a)
     ndim = a.data.ndim
-    if axes is None or len(axes) == 0:
-        axes = tuple(reversed(range(ndim)))
     axes = _norm_axes(tuple(axes), ndim)
     if sorted(axes) != list(range(ndim)):
         raise ShapeError(f"transpose axes {axes} are not a permutation of {ndim} axes")
@@ -628,27 +626,32 @@ def depthwise_conv1d(x, kernels) -> Tensor:
     t = x.data.shape[-2]
     pad = (length - 1) // 2
 
-    def channels_first(a):   # (..., T, C) -> C-contiguous (B, C, T)
-        return np.ascontiguousarray(np.swapaxes(a.reshape((-1, t, channels)), -1, -2))
+    def channels_first(a):   # (..., T, C) -> (B, C, T) view
+        return np.swapaxes(a.reshape((-1, t, channels)), -1, -2)
 
     def channels_last(a):    # (B, C, T) -> C-contiguous (..., T, C)
         return np.ascontiguousarray(np.swapaxes(a, -1, -2)).reshape(x.data.shape)
 
-    # contiguous before padding: np.pad keeps its input's memory order, and
-    # the einsums' summation order follows the window view's strides
-    xp = np.pad(channels_first(x.data), ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(xp, length, axis=-1)
+    def windows(a):          # (B, C, T) -> (B, C, T, L) windows of zero-padded a
+        # a fresh C-contiguous buffer, whatever a's memory order: the einsums'
+        # summation order follows the window view's strides
+        padded = np.zeros(a.shape[:-1] + (t + 2 * pad,), a.dtype)
+        padded[..., pad : pad + t] = a
+        return sliding_window_view(padded, length, axis=-1)
+
+    win = windows(channels_first(x.data))
     out_data = channels_last(np.einsum("bctl,cl->bct", win, kernels.data))
 
     def bwd(g):
-        gf = channels_first(g)
+        # contiguous: the kernel gradient's einsum sums in an order set by its strides
+        gf = np.ascontiguousarray(channels_first(g))
         if kernels.requires_grad:
             _accum(kernels, np.einsum("bctl,bct->cl", win, gf))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for off in range(length):
-                gxp[:, :, off : off + t] += gf * kernels.data[:, off][:, None]
-            _accum(x, channels_last(gxp[:, :, pad : pad + t]))
+            # the forward's correlation on windows read back to front: it
+            # sums the taps in kernel order, as a per-tap loop would
+            _accum(x, channels_last(np.einsum("bctl,cl->bct", windows(gf)[..., ::-1],
+                                              kernels.data)))
 
     return _from_op(out_data, (x, kernels), bwd)
 

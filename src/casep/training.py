@@ -20,7 +20,7 @@ from .codec import Waveform
 from .config import EvalSettings, ModelConfig, SyntheticSpec, check_seed, config_hash, \
     eval_settings_from_flat, model_config_from_flat, model_config_to_flat, \
     serialize_flat, synthetic_spec_from_flat, train_settings_from_flat
-from .metrics import improvements, upit_loss
+from .metrics import MAX_SPEAKERS, improvements, upit_loss
 from .model import Separator
 from .nn import unique_named
 from .optim import Adam
@@ -65,6 +65,9 @@ class TrainResult:
 def train_run(entries: dict[str, str], resume: str | None = None,
               echo=None) -> TrainResult:
     cfg = model_config_from_flat(entries)
+    if cfg.speakers > MAX_SPEAKERS:
+        raise ConfigError(f"model.speakers = {cfg.speakers}: training supports at most "
+                          f"{MAX_SPEAKERS} speakers")
     spec = synthetic_spec_from_flat(entries, cfg.speakers, cfg.sample_rate)
     settings = train_settings_from_flat(entries)
 

@@ -12,6 +12,7 @@ from casep.checkpoint import load_checkpoint, model_state, save_checkpoint
 from casep.cli import build_parser, main
 from casep.codec import Waveform
 from casep.config import model_config_from_flat, parse_flat
+from casep.metrics import MAX_SPEAKERS
 from casep.model import Separator
 from casep.synth import gen_mixture
 from casep.wavio import read_wav, write_wav
@@ -31,6 +32,15 @@ def trained(tmp_path, config_file, capsys):
     assert main(["train", str(config_file)]) == 0
     capsys.readouterr()
     return tmp_path / "run" / "model.tsep"
+
+
+def set_keys(path, edits):
+    """Rewrite the config at ``path`` with the ``key = value`` lines of
+    ``edits`` in place of the lines that set the same keys."""
+    keys = {line.split("=", 1)[0].strip() for line in edits.splitlines()}
+    kept = [line for line in path.read_text().splitlines(keepends=True)
+            if line.split("=", 1)[0].strip() not in keys]
+    path.write_text("".join(kept) + edits)
 
 
 def assert_one_line_error(code, capsys):
@@ -169,9 +179,31 @@ class TestTrain:
             "length_cap", "negative_kernel", "section_typo", "negative_train_seed",
             "negative_data_seed", "diverging_lr"])
     def test_bad_setting_is_a_cli_error(self, config_file, capsys, edits, named):
-        config_file.write_text(config_file.read_text() + edits)
+        set_keys(config_file, edits)
         code = main(["train", str(config_file)])
         assert named in assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("command, edits", [
+        ("train", "intra.ffn_dim = 4611686018427387904\n"),
+        ("count-params", "intra.ffn_dim = 4611686018427387904\n"),
+        ("train", "data.length = 4611686018427387904\n"),
+    ], ids=["train_ffn", "count_params_ffn", "train_length"])
+    def test_array_too_big_to_index_is_a_cli_error(self, config_file, capsys,
+                                                   command, edits):
+        # numpy refuses these shapes before it allocates anything
+        set_keys(config_file, edits)
+        assert_one_line_error(main([command, str(config_file)]), capsys)
+
+    def test_too_many_speakers_to_train_writes_nothing(self, config_file, tmp_path,
+                                                       capsys):
+        set_keys(config_file, "model.speakers = 5\n"
+                 "data.bands = 200-400; 500-700; 1000-1400; 2000-2400; 3000-3400\n")
+        code = main(["train", str(config_file)])
+        line = assert_one_line_error(code, capsys)
+        assert f"model.speakers = 5: training supports at most {MAX_SPEAKERS}" in line
+        assert not (tmp_path / "run").exists()
+        # only the assignment search is limited
+        assert main(["count-params", str(config_file)]) == 0
 
     @pytest.mark.parametrize("edits", ["train.beta1 = 1.5\n", "train.beta2 = nan\n"])
     def test_bad_beta_creates_no_out_dir(self, config_file, tmp_path, capsys, edits):

@@ -46,6 +46,11 @@ class TestParseFlat:
         entries = parse_flat("a.b = x = y\n")
         assert entries["a.b"] == "x = y"
 
+    def test_repeated_key_names_both_lines(self):
+        # the last value would otherwise win, and two texts hash alike
+        with pytest.raises(ConfigError, match=r"^line 4: key a\.b repeats line 1$"):
+            parse_flat("a.b = 1\nc.d = 2\n\na.b = 3\n")
+
 
 class TestSerializeAndHash:
     def test_round_trip(self):

@@ -382,8 +382,8 @@ class TestDepthwiseConv1d:
 
     def test_one_sequence_equals_its_row_of_a_batch(self):
         # bit for bit, as slabbed inference needs; a single (1, T, C)
-        # sequence swapped to channels-first is not C-contiguous, and
-        # padding that view would make the einsum sum in another order
+        # sequence swapped to channels-first is not C-contiguous, so its
+        # memory order must not set the einsum's summation order
         rng = np.random.default_rng(16)
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
         k = rng.standard_normal((8, 5)).astype(np.float32)
@@ -402,6 +402,29 @@ class TestDepthwiseConv1d:
         rng = np.random.default_rng(15)
         fd_check(T.depthwise_conv1d,
                  [rng.standard_normal((2, 7, 3)), rng.standard_normal((3, 3))])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("t", [1, 7, 250])
+    @pytest.mark.parametrize("length", [1, 3, 5, 11, 51])
+    def test_input_gradient_sums_taps_in_kernel_order(self, length, t, lead, dtype):
+        # oracle: a zero-filled padded buffer that gathers one tap at a time,
+        # kernel column 0 first; the op's gradient must match it bit for bit
+        rng = np.random.default_rng(17)
+        channels, pad = 4, (length - 1) // 2
+        g = rng.standard_normal(lead + (t, channels)).astype(dtype)
+        k = rng.standard_normal((channels, length)).astype(dtype)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        k[rng.random(k.shape) < 0.2] = -0.0
+        want = np.zeros(lead + (t + 2 * pad, channels), dtype)
+        for off in range(length):
+            want[..., off : off + t, :] += g * k[:, off]
+        want = want[..., pad : pad + t, :]
+        x = Tensor(rng.standard_normal(lead + (t, channels)).astype(dtype),
+                   requires_grad=True)
+        T.tsum(T.mul(T.depthwise_conv1d(x, Tensor(k)), g)).backward()
+        assert np.array_equal(x.grad, want)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(want))
 
 
 class TestLayerNorm:
