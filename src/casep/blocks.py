@@ -17,16 +17,16 @@ bounded however long the input is:
   give 63 + 63 + 63 + 61, not 73 + 73 + 73 + 31. A layer's item is a
   sequence's score map or feed-forward pair, whichever is larger; the mask
   head's is a chunk's output pair, with the whole budget on the calling
-  thread. A layer whose sequences fit one slab takes one pass on the
-  calling thread, as it always does while recording a graph. A layer's
-  ``attention_maps`` come in its one-worker slabs, on the calling thread.
-- The slabs run on ``worker_count()`` threads: the calling thread plus a
-  persistent pool, made once per thread count on first use. The count is
-  the number of CPUs in the process's affinity mask divided by the BLAS
-  thread count, read from the first of ``BLAS_THREAD_VARS`` that is set
-  (all CPUs when none is). So BLAS left unpinned keeps one thread, and
-  ``OPENBLAS_NUM_THREADS=1`` on two CPUs gives two; ``taskset -c 0``
-  restricts the count to one.
+  thread. A layer takes one pass on the calling thread while it records a
+  graph or when its sequences fit one slab. A layer's ``attention_maps``
+  come in its one-worker slabs, on the calling thread.
+- The slabs run on ``worker_count()`` threads: the calling thread and a
+  persistent pool, made once per thread count on first use. Each slab
+  enters ``no_grad`` on its own thread. The count is the CPUs in the
+  process's affinity mask over the BLAS thread count, read from the first
+  of ``BLAS_THREAD_VARS`` that is set (all CPUs when none is): BLAS left
+  unpinned keeps one thread, ``OPENBLAS_NUM_THREADS=1`` on two CPUs gives
+  two, and ``taskset -c 0`` one.
 - Each slab's output is written into its rows of one preallocated array.
   The arithmetic does not depend on the slab size or the thread that ran
   it, so outputs are bit-identical for any worker count.
@@ -81,25 +81,17 @@ def slab_size(count: int, item_bytes: int, workers: int = 1) -> int:
 @cache
 def _helpers(threads: int):
     """The persistent pool of ``threads`` helper threads."""
-    # imported here: the module costs RSS that graph-recording runs, which
-    # never start a pool, should not pay
+    # imported here: runs that start no pool do not pay for the module's RSS
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(threads, thread_name_prefix="casep-slab")
-
-
-def _graph_free(fn) -> None:
-    """``fn()`` under ``no_grad`` on this thread: slabs run only without a
-    graph, and a pool thread does not inherit its caller's mode."""
-    with T.no_grad():
-        fn()
 
 
 def _run_slabs(run, starts, workers: int) -> None:
     """Call ``run(start)`` once for each of ``starts`` on the calling thread
     and up to ``workers - 1`` pool threads, each taking the next start when
-    it is free, the helpers under ``no_grad``. Returns when every call has;
-    the first error raised on the calling thread, else in a helper, is
-    raised here, and no start is handed out after an error.
+    free; ``run`` sets its graph mode, which a pool thread does not inherit.
+    Returns when every call has. The calling thread's error, else a
+    helper's, is raised here, and no start is handed out after an error.
 
     The calling thread takes slabs too, rather than waiting on a pool of
     ``workers`` threads: that pool put the slab temporaries in a second
@@ -116,9 +108,8 @@ def _run_slabs(run, starts, workers: int) -> None:
                     pass
                 raise
 
-    n_helpers = min(workers, len(starts)) - 1
-    pool = _helpers(workers - 1) if n_helpers > 0 else None
-    helpers = [pool.submit(_graph_free, drain) for _ in range(n_helpers)]
+    helpers = [_helpers(workers - 1).submit(drain)
+               for _ in range(min(workers, len(starts)) - 1)]
     try:
         drain()
     finally:
@@ -193,17 +184,16 @@ class HybridLayer(Module):
         in slabs on ``worker_count()`` threads."""
         lead, (length, width) = h.shape[:-2], h.shape[-2:]
         count = math.prod(lead)
-        if T.grad_enabled():
-            return self._body(h)
         workers = worker_count()
         size = slab_size(count, self._sequence_bytes(length, h.dtype), workers)
-        if size >= count:
+        if T.grad_enabled() or size >= count:
             return self._body(h)
         flat = h.reshape((count, length, width))
         out = np.empty((count, length, width), dtype=h.dtype)
 
         def run(i):
-            out[i : i + size] = self._body(flat[i : i + size]).data
+            with T.no_grad():           # a pool thread starts with the graph on
+                out[i : i + size] = self._body(flat[i : i + size]).data
 
         _run_slabs(run, range(0, count, size), workers)
         return Tensor(out.reshape(h.shape))

@@ -3,8 +3,8 @@
 ``si_snr`` is differentiable (a graph tensor, scalar for 1-D signals), so
 the permutation-invariant loss built on it can drive training directly.
 The improvement metrics (``improvements``: SI-SNRi and SDRi) are plain
-float64 arrays for reporting; SDRi uses an SNR on the unscaled residual, a
-documented approximation of full distortion-ratio evaluation.
+float64 arrays for reporting. SDRi does not measure separation yet: ``sdr``
+moves with the estimate's gain (see ``sdr``), so only SI-SNRi compares runs.
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ def si_snr(est, target) -> Tensor:
 
 
 def sdr(est, target) -> Tensor:
-    """Distortion ratio in dB, simplified: plain target power over the power
-    of the scale-projected residual. Unlike ``si_snr`` the numerator is not
-    rescaled by the projection coefficient, so estimate gain matters. This
-    stands in for full distortion-ratio scoring with its allowed-filter
-    projection, which is out of scope. Axes as in ``si_snr``.
+    """Plain target power over the power of the scale-projected residual,
+    in dB. The numerator is not rescaled by the projection coefficient, so
+    a gain g on the estimate moves the value by -20·log10(g) dB: one
+    estimate reads 11.2, 31.2 and 51.2 dB at gains 1, 0.1 and 0.01 while
+    ``si_snr`` stays at 11.3 dB. Not a separation measure. Axes as in
+    ``si_snr``.
     """
     return _projection_db(est, target, scaled_numerator=False)
 

@@ -181,6 +181,8 @@ def grad_check_run(cfg: ModelConfig, spec: SyntheticSpec, seed: int = 0,
     model is built in double precision whatever ``cfg.precision`` says.
     """
     check_seed("seed", seed)
+    if min_coords < 1:
+        raise ConfigError(f"coords must be >= 1, got {min_coords}")
     model = Separator.build(replace(cfg, precision="double"), seed)
     mix, sources = mixture_arrays(spec, 0, np.float64)
 

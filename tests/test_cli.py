@@ -365,6 +365,13 @@ class TestGradCheck:
         code = main(["grad-check", str(config_file), "--seed", "-3"])
         assert "seed must be >= 0, got -3" in assert_one_line_error(code, capsys)
 
+    @pytest.mark.parametrize("coords", ["0", "-5"])
+    def test_coords_below_one_is_a_cli_error(self, config_file, capsys, coords):
+        # a check of no coordinate would read PASS
+        code = main(["grad-check", str(config_file), "--coords", coords])
+        line = assert_one_line_error(code, capsys)
+        assert f"coords must be >= 1, got {coords}" in line
+
     def test_passes_on_unaligned_length(self, tmp_path, capsys):
         # 513 samples: the loss also scores the one sample no window reaches
         cfg_path = tmp_path / "gc.cfg"

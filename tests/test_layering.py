@@ -64,6 +64,34 @@ def test_scanner_sees_both_import_forms():
     assert private_tensor_names(tree) == {"_accum", "_frames"}
 
 
+def imported_packages(tree: ast.Module) -> set[str]:
+    """Top-level names of the packages ``tree`` imports, at any depth (inside
+    functions too); a relative import names the package itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("casep" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_the_only_runtime_dependency_is_numpy():
+    allowed = sys.stdlib_module_names | {"numpy", "casep"}
+    found = {path.name: sorted(imported_packages(ast.parse(path.read_text())) - allowed)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: extra for name, extra in found.items() if extra} == {}
+
+
+def test_dependency_scanner_sees_every_import_form():
+    tree = ast.parse("import numpy.linalg as la, os\n"
+                     "from . import tensor\n"
+                     "from .nn import Module\n"
+                     "def f():\n"
+                     "    from scipy import signal\n")
+    assert imported_packages(tree) == {"numpy", "os", "casep", "scipy"}
+
+
 def test_from_op_takes_three_positional_arguments():
     # perfbench's tracer and the node-count tests wrap ``_from_op`` with
     # ``def f(data, parents, backward)``; another parameter would break them

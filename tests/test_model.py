@@ -583,6 +583,20 @@ class TestSlabPool:
             blocks._run_slabs(run, range(10), 2)
         assert sorted(ran) == [0, 1]
 
+    def test_runner_leaves_the_graph_mode_to_run(self):
+        # each thread takes one start; a pool thread starts recording, as
+        # every thread does, and the runner does not switch it off
+        modes = {}
+        barrier = threading.Barrier(2, timeout=30)
+
+        def run(start):
+            barrier.wait()
+            modes[start] = T.grad_enabled()
+
+        assert T.grad_enabled()
+        blocks._run_slabs(run, range(2), 2)
+        assert modes == {0: True, 1: True}
+
     def test_each_slab_runs_once_under_contention(self):
         # more workers than cores, each yielding after every call, with the
         # interpreter switching threads as often as it can: a start handed
