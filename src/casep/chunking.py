@@ -15,7 +15,8 @@ from .tensor import ConfigError, ContractError, ShapeError, Tensor, _accum, \
     _frames, _from_op, _overlap_sum, frames, grad_enabled
 
 
-def _hop(size: int) -> int:
+def chunk_hop(size: int) -> int:
+    """The hop of chunks of ``size``, which must be even and >= 2."""
     if size < 2 or size % 2 != 0:
         raise ConfigError(f"chunk size must be even and >= 2, got {size}")
     return size // 2
@@ -32,7 +33,7 @@ def padded_length(n_frames: int, size: int) -> int:
 def segment(x: Tensor, size: int) -> Tensor:
     """Cut (..., frames, channels) into half-overlapping chunks of ``size``:
     (..., n_chunks, size, channels)."""
-    hop = _hop(size)
+    hop = chunk_hop(size)
     if x.data.ndim < 2:
         raise ShapeError(f"segment expects (..., frames, channels), got {x.shape}")
     n_chunks = (padded_length(x.shape[-2], size) - size) // hop + 1
@@ -47,7 +48,7 @@ def _cover_counts(shape: tuple, n_frames: int, dtype) -> np.ndarray:
             f"overlap_add expects (..., chunks, size, channels), got {shape}"
         )
     n_chunks, size = shape[-3:-1]
-    hop = _hop(size)
+    hop = chunk_hop(size)
     t_pad = (n_chunks - 1) * hop + size
     if n_frames > t_pad:
         raise ContractError(

@@ -10,12 +10,13 @@ dataclass is frozen and checks its values when built.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .chunking import chunk_hop
 from .codec import EncoderConfig
+from .optim import check_adam_settings
 from .tensor import ConfigError
 
 
@@ -79,8 +80,7 @@ class ModelConfig:
             raise ConfigError("need at least 2 speakers")
         if min(self.n_blocks, self.n_intra, self.n_inter) < 1:
             raise ConfigError("all repetition counts must be >= 1")
-        if self.chunk_size < 2 or self.chunk_size % 2 != 0:
-            raise ConfigError(f"chunk size must be even >= 2, got {self.chunk_size}")
+        chunk_hop(self.chunk_size)
         if self.intra.width != self.width or self.inter.width != self.width:
             raise ConfigError(
                 "layer widths must equal the encoder filter count "
@@ -92,10 +92,10 @@ class ModelConfig:
             raise ConfigError("sample rate must be positive")
 
 
-def check_seed(name: str, seed: int) -> None:
+def check_seed(seed: int) -> None:
     """numpy seeds random streams from non-negative integers only."""
     if seed < 0:
-        raise ConfigError(f"{name} must be >= 0, got {seed}")
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 # Source levels are dB from unit RMS. Past +-100 dB a source is clipped or
@@ -146,7 +146,7 @@ class SyntheticSpec:
             raise ConfigError("level range high end below low end")
         if self.length < 1:
             raise ConfigError("length must be positive")
-        check_seed("data.seed", self.seed)
+        check_seed(self.seed)
         if self.kind == "noise_band":
             # the rfft bins synth keeps; none would make an all-zero source
             freqs = np.fft.rfftfreq(self.length, d=1.0 / self.sample_rate)
@@ -172,16 +172,8 @@ class TrainSettings:
             raise ConfigError("steps must be >= 0")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
-        check_seed("train.seed", self.seed)
-        if not math.isfinite(self.lr):
-            raise ConfigError(f"learning rate must be finite, got {self.lr}")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if not math.isfinite(self.eps) or self.eps <= 0:
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 <= beta < 1:    # NaN fails too
-                raise ConfigError(f"train.{name} must lie in [0, 1), got {beta}")
+        check_seed(self.seed)
+        check_adam_settings(self.lr, self.beta1, self.beta2, self.eps)
 
 
 @dataclass(frozen=True)
@@ -191,8 +183,8 @@ class EvalSettings:
 
     def __post_init__(self) -> None:
         if self.count < 1:
-            raise ConfigError("eval count must be >= 1")
-        check_seed("eval.seed", self.seed)
+            raise ConfigError("count must be >= 1")
+        check_seed(self.seed)
 
 
 # -- flat text format ------------------------------------------------------
@@ -271,7 +263,8 @@ def _read(cls, entries: dict[str, str], section: str, **given):
     """Build ``cls`` from the ``section.*`` entries. Fields in ``given`` are
     taken as passed; a missing key falls back to the field's default, and a
     field without one (or named in ``_REQUIRED``) must be present. A
-    ``section.*`` key that no field reads is an error."""
+    ``section.*`` key that no field reads is an error, and an error the
+    dataclass raises starts with ``section: ``."""
     values = dict(given)
     keys = {f"{section}.{_KEYS.get(f.name, f.name)}": f
             for f in fields(cls) if f.name not in given}
@@ -283,7 +276,10 @@ def _read(cls, entries: dict[str, str], section: str, **given):
             values[f.name] = _convert(key, f.type, entries[key])
         elif f.name in _REQUIRED or f.default is MISSING:
             raise ConfigError(f"missing required config key {key}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _write(obj, section: str, out: dict[str, str], *skip: str) -> None:

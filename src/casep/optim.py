@@ -10,6 +10,16 @@ from .nn import unique_named
 from .tensor import ConfigError
 
 
+def check_adam_settings(lr: float, beta1: float, beta2: float, eps: float) -> None:
+    """Adam's domain (Kingma & Ba): lr and eps positive and finite, betas in [0, 1)."""
+    for name, value in (("lr", lr), ("eps", eps)):
+        if not 0 < value < math.inf:    # NaN fails too
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0 <= beta < 1:    # NaN fails too
+            raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
+
+
 class Adam:
     """Keeps first/second moment per parameter, keyed by dotted path.
 
@@ -22,12 +32,7 @@ class Adam:
 
     def __init__(self, named_params, lr: float = 1.5e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ConfigError("betas must lie in [0, 1)")
-        if not math.isfinite(eps) or eps <= 0:
-            raise ConfigError(f"eps must be positive and finite, got {eps}")
+        check_adam_settings(lr, beta1, beta2, eps)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

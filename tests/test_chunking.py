@@ -43,9 +43,9 @@ class TestSegment:
         assert np.array_equal(chunks[0, 3], [0.0, 0.0])
 
     def test_odd_size_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^chunk size must be even and >= 2, got 5$"):
             segment(Tensor(np.zeros((6, 2))), 5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^chunk size must be even and >= 2, got 0$"):
             segment(Tensor(np.zeros((6, 2))), 0)
 
     def test_rank_checked(self):

@@ -157,27 +157,29 @@ class TestTrain:
 
     @pytest.mark.parametrize("edits, named", [
         ("data.kind = noise_band\ndata.length = 16\ndata.bands = 100-110; 1000-2000\n",
-         "band 100.0-110.0 holds no frequency bin"),
-        ("data.level_db_lo = nan\n", "level_db_lo nan"),
-        ("data.level_db_hi = 7000\n", "level_db_hi 7000.0"),
-        ("train.lr = nan\n", "learning rate must be finite, got nan"),
-        ("train.eps = nan\n", "eps must be positive and finite, got nan"),
-        ("train.eps = -1e-8\n", "eps must be positive and finite, got -1e-08"),
+         "data: band 100.0-110.0 holds no frequency bin"),
+        ("data.level_db_lo = nan\n", "data: level_db_lo nan"),
+        ("data.level_db_hi = 7000\n", "data: level_db_hi 7000.0"),
+        ("train.lr = nan\n", "train: lr must be positive and finite, got nan"),
+        ("train.eps = nan\n", "train: eps must be positive and finite, got nan"),
+        ("train.eps = -1e-8\n", "train: eps must be positive and finite, got -1e-08"),
         ("model.chunksize = 8\n", "unknown config key model.chunksize"),
         ("intra.width = 16\n", "unknown config key intra.width"),
         ("data.sample_rate = 16000\n", "unknown config key data.sample_rate"),
         ("train.step = 3\n", "unknown config key train.step"),
         ("train.length_cap = 256\n", "unknown config key train.length_cap"),
-        ("intra.kernel = -1\n", "conv kernel must be positive and odd, got -1"),
+        ("intra.kernel = -1\n", "intra: conv kernel must be positive and odd, got -1"),
+        ("intra.heads = 3\n", "intra: heads 3 must divide attention channels 8"),
+        ("model.chunk_size = 7\n", "model: chunk size must be even and >= 2, got 7"),
         ("trian.steps = 5\n", "unknown config section in key trian.steps"),
-        ("train.seed = -1\n", "train.seed must be >= 0, got -1"),
-        ("data.seed = -5\n", "data.seed must be >= 0, got -5"),
+        ("train.seed = -1\n", "train: seed must be >= 0, got -1"),
+        ("data.seed = -5\n", "data: seed must be >= 0, got -5"),
         # numpy's overflow warnings before the abort stay off stderr
         ("train.lr = 1e30\n", "training aborted at step 1: linear produced"),
     ], ids=["empty_noise_band", "nan_level", "huge_level", "nan_lr", "nan_eps",
             "negative_eps", "model_typo", "intra_typo", "data_typo", "train_typo",
-            "length_cap", "negative_kernel", "section_typo", "negative_train_seed",
-            "negative_data_seed", "diverging_lr"])
+            "length_cap", "negative_kernel", "heads_split", "odd_chunk", "section_typo",
+            "negative_train_seed", "negative_data_seed", "diverging_lr"])
     def test_bad_setting_is_a_cli_error(self, config_file, capsys, edits, named):
         set_keys(config_file, edits)
         code = main(["train", str(config_file)])
@@ -205,11 +207,30 @@ class TestTrain:
         # only the assignment search is limited
         assert main(["count-params", str(config_file)]) == 0
 
-    @pytest.mark.parametrize("edits", ["train.beta1 = 1.5\n", "train.beta2 = nan\n"])
-    def test_bad_beta_creates_no_out_dir(self, config_file, tmp_path, capsys, edits):
+    @pytest.mark.parametrize("edits", ["data.length = 4611686018427387904\n",
+                                       "train.lr = 1e30\n"],
+                             ids=["train_length", "diverging_lr"])
+    def test_failed_run_leaves_no_out_dir(self, config_file, tmp_path, capsys, edits):
+        # both fail after the out_dir and its missing parent are made
+        set_keys(config_file, edits + f"train.out_dir = {tmp_path / 'new' / 'run'}\n")
+        assert_one_line_error(main(["train", str(config_file)]), capsys)
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_keeps_an_existing_out_dir(self, config_file, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        set_keys(config_file, "data.length = 4611686018427387904\n")
+        assert_one_line_error(main(["train", str(config_file)]), capsys)
+        assert (tmp_path / "run").is_dir()
+
+    @pytest.mark.parametrize("edits, named", [
+        ("train.beta1 = 1.5\n", "train: beta1 must lie in [0, 1), got 1.5"),
+        ("train.beta2 = nan\n", "train: beta2 must lie in [0, 1), got nan"),
+    ], ids=["train.beta1 = 1.5\n", "train.beta2 = nan\n"])
+    def test_bad_beta_creates_no_out_dir(self, config_file, tmp_path, capsys, edits,
+                                         named):
         config_file.write_text(config_file.read_text() + edits)
         code = main(["train", str(config_file)])
-        assert "must lie in [0, 1)" in assert_one_line_error(code, capsys)
+        assert named in assert_one_line_error(code, capsys)
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("message, line", [
@@ -339,7 +360,7 @@ class TestEval:
         config_file.write_text(config_file.read_text().replace(
             "eval.seed = 7", "eval.seed = -2"))
         code = main(["eval", str(trained), str(config_file)])
-        assert "eval.seed must be >= 0, got -2" in assert_one_line_error(code, capsys)
+        assert "eval: seed must be >= 0, got -2" in assert_one_line_error(code, capsys)
 
     def test_non_integer_data_seed_is_a_cli_error(self, trained, config_file,
                                                   capsys):

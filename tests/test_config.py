@@ -207,13 +207,17 @@ class TestOtherSections:
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_rejected(self, lr):
-        with pytest.raises(ConfigError, match="learning rate must be finite"):
+        with pytest.raises(ConfigError, match=f"^train: lr must be positive and finite, got {lr}$"):
             train_settings_from_flat({"train.lr": lr})
+
+    def test_eval_count_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="^eval: count must be >= 1$"):
+            eval_settings_from_flat({"eval.count": "0"})
 
     @pytest.mark.parametrize("name", ["beta1", "beta2"])
     @pytest.mark.parametrize("beta", [1.0, -0.1, float("nan")])
     def test_betas_outside_unit_interval_rejected(self, name, beta):
-        with pytest.raises(ConfigError, match=rf"train\.{name} must lie in \[0, 1\)"):
+        with pytest.raises(ConfigError, match=rf"^{name} must lie in \[0, 1\), got {beta}$"):
             TrainSettings(**{name: beta})
 
     @pytest.mark.parametrize("key, value, named", [
@@ -258,8 +262,10 @@ class TestValidators:
             replace(tiny_model_config(), speakers=1)
 
     def test_odd_chunk_size_rejected(self):
-        with pytest.raises(ConfigError):
-            replace(tiny_model_config(), chunk_size=7)
+        # the rule ``chunking.segment`` applies, in its words
+        for size in (7, 0):
+            with pytest.raises(ConfigError, match=f"^chunk size must be even and >= 2, got {size}$"):
+                replace(tiny_model_config(), chunk_size=size)
 
     def test_heads_must_divide_attention_channels(self):
         with pytest.raises(ConfigError):

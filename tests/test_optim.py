@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from casep.config import TrainSettings
 from casep.nn import Parameter
 from casep.optim import Adam
 from casep.tensor import ConfigError
@@ -95,8 +96,22 @@ class TestSharedParameters:
 
 class TestValidation:
     def test_bad_learning_rate(self):
-        with pytest.raises(ConfigError):
-            Adam([("p", make_param([0.0]))], lr=0.0)
+        for lr in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"^lr must be positive and finite, got {lr}$"):
+                Adam([("p", make_param([0.0]))], lr=lr)
+
+    @pytest.mark.parametrize("settings", [
+        dict(lr=float("inf")), dict(lr=-1.0), dict(beta1=1.0),
+        dict(beta2=float("nan")), dict(eps=0.0), dict(lr=2.0, beta1=0.0)],
+        ids=["inf_lr", "negative_lr", "beta1_one", "nan_beta2", "zero_eps", "valid"])
+    def test_train_settings_take_adams_rule(self, settings):
+        def error(build):
+            try:
+                build()
+            except ConfigError as exc:
+                return str(exc)
+        adam = error(lambda: Adam([("p", make_param([0.0]))], **settings))
+        assert error(lambda: TrainSettings(**settings)) == adam
 
     def test_bad_betas(self):
         with pytest.raises(ConfigError):

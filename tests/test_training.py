@@ -136,7 +136,7 @@ class TestGradCheck:
     def test_tiny_model_passes(self):
         cfg = tiny_model_config(precision="double")
         res = grad_check_run(cfg, two_sine_spec(length=256), seed=0)
-        assert res.passed(1e-5)
+        assert res.passed()
         assert res.coords_checked >= 200
         model = Separator.build(cfg, 0)
         assert res.groups_covered == len(model.parameters())
@@ -147,6 +147,32 @@ class TestGradCheck:
         double = grad_check_run(tiny_model_config(precision="double"), spec,
                                 min_coords=30)
         assert single == double
+
+    def test_relu_kink_is_re_stepped(self):
+        # at seed 0 one of mask_out.1's pre-ReLU values lies within the
+        # step h of the kink, so the difference at h misses by 3.5e-2
+        res = grad_check_run(smoke_model_config(), two_sine_spec(), seed=0)
+        assert res.passed() and res.kinks == 1
+        name, index, err_h, err_fine = res.worst_kink
+        assert (name, index) == ("mask_out.1.bias", 15)
+        assert err_h > 1e-2 and err_fine < 1e-8
+        assert ("kinks re-stepped    1, worst mask_out.1.bias[15]: 3.451e-02 at h"
+                in grad_check_report(res))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_wrong_relu_gradient_fails(self, monkeypatch, seed):
+        def skewed_relu(a):
+            # the backward is 0.1 % too large: no step size hides that
+            def bwd(g):
+                T._accum(a, 1.001 * g * (a.data > 0))
+            return T._from_op(np.maximum(a.data, 0.0), (a,), bwd)
+
+        monkeypatch.setattr(T, "relu", skewed_relu)
+        res = grad_check_run(smoke_model_config(), two_sine_spec(), seed=seed,
+                             min_coords=60)
+        assert not res.passed() and res.max_rel_err > 1e-3
+        assert res.kinks == 0 and res.worst_kink is None
+        assert "kinks re-stepped    0\n" in grad_check_report(res) + "\n"
 
     def test_report_text(self):
         cfg = tiny_model_config(precision="double")
