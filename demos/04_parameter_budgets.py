@@ -22,8 +22,8 @@ for budget in REFERENCE_BUDGETS:
 # count while the architecture (and compute) stays identical.
 tied = REFERENCE_BUDGETS[6]
 untied = REFERENCE_BUDGETS[3]
-tied_layers = model_param_report(tied.config).mask_net_layers
-untied_layers = model_param_report(untied.config).mask_net_layers
+tied_layers = model_param_report(tied.config).mask_net
+untied_layers = model_param_report(untied.config).mask_net
 print(f"\nmasking-network layers, untied vs tied: "
       f"{untied_layers:,d} vs {tied_layers:,d} "
       f"({untied_layers // tied_layers}x)")

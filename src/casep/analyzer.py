@@ -10,7 +10,7 @@ count of the built model exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .config import ModelConfig, PathConfig, default_model_config
 from .nn import Module
@@ -91,7 +91,7 @@ class ParamReport:
     inter_layer: int
     intra_sets: int
     inter_sets: int
-    mask_net_layers: int
+    mask_net: int
     postprocess: int
     mask_head: int
     decoder: int
@@ -120,7 +120,7 @@ def model_param_report(cfg: ModelConfig, model: Module | None = None) -> ParamRe
         inter_layer=inter_layer,
         intra_sets=intra_sets,
         inter_sets=inter_sets,
-        mask_net_layers=mask_net,
+        mask_net=mask_net,
         postprocess=postprocess,
         mask_head=mask_head,
         decoder=dec,
@@ -138,7 +138,7 @@ def format_param_report(report: ParamReport) -> str:
         f"  preprocess          {report.preprocess:>12,}",
         f"  within-chunk layer  {report.intra_layer:>12,} x {report.intra_sets}",
         f"  across-chunk layer  {report.inter_layer:>12,} x {report.inter_sets}",
-        f"  mask-net layers     {report.mask_net_layers:>12,}",
+        f"  mask-net layers     {report.mask_net:>12,}",
         f"  postprocess         {report.postprocess:>12,}",
         f"  mask head           {report.mask_head:>12,}",
         f"  decoder             {report.decoder:>12,}",
@@ -154,22 +154,9 @@ def format_param_report(report: ParamReport) -> str:
 
 
 def param_report_kv(report: ParamReport) -> dict[str, str]:
-    out = {
-        "params.encoder": str(report.encoder),
-        "params.preprocess": str(report.preprocess),
-        "params.intra_layer": str(report.intra_layer),
-        "params.inter_layer": str(report.inter_layer),
-        "params.intra_sets": str(report.intra_sets),
-        "params.inter_sets": str(report.inter_sets),
-        "params.mask_net": str(report.mask_net_layers),
-        "params.postprocess": str(report.postprocess),
-        "params.mask_head": str(report.mask_head),
-        "params.decoder": str(report.decoder),
-        "params.total_analytic": str(report.total_analytic),
-    }
-    if report.total_empirical is not None:
-        out["params.total_empirical"] = str(report.total_empirical)
-    return out
+    """Each field that is set, under the key ``params.<field>``."""
+    return {f"params.{name}": str(value) for name, value in asdict(report).items()
+            if value is not None}
 
 
 # -- full-scale reference budgets -----------------------------------------

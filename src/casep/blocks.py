@@ -41,7 +41,7 @@ from functools import cache
 import numpy as np
 
 from . import tensor as T
-from .config import PathConfig
+from .config import ModelConfig, PathConfig
 from .nn import Linear, LayerNorm, Module, MultiHeadAttention, uniform_param
 from .tensor import ConfigError, Tensor
 
@@ -212,24 +212,22 @@ class HybridLayer(Module):
 class DualPathBlock(Module):
     """Within-chunk passes, a chunk/frame permutation, across-chunk passes.
 
-    With ``shared`` set, one layer instance per direction is applied on
-    every repetition, so its parameters receive the summed gradient.
+    The ``ModelConfig`` gives the layers' shapes, repetition counts and
+    dtype. With its ``shared`` set, one layer instance per direction is
+    applied on every repetition, so its parameters receive the summed
+    gradient.
     """
 
-    def __init__(self, intra_cfg: PathConfig, inter_cfg: PathConfig,
-                 n_intra: int, n_inter: int, shared: bool, rng,
-                 dtype=np.float32):
-        if n_intra < 1 or n_inter < 1:
-            raise ConfigError("repetition counts must be >= 1")
-        self.n_intra = n_intra
-        self.n_inter = n_inter
-        self.shared = shared
-        if shared:
-            self.intra = HybridLayer(intra_cfg, rng, dtype)
-            self.inter = HybridLayer(inter_cfg, rng, dtype)
+    def __init__(self, cfg: ModelConfig, rng):
+        self.n_intra = cfg.n_intra
+        self.n_inter = cfg.n_inter
+        self.shared = cfg.shared
+        if cfg.shared:
+            self.intra = HybridLayer(cfg.intra, rng, cfg.dtype)
+            self.inter = HybridLayer(cfg.inter, rng, cfg.dtype)
         else:
-            self.intra = [HybridLayer(intra_cfg, rng, dtype) for _ in range(n_intra)]
-            self.inter = [HybridLayer(inter_cfg, rng, dtype) for _ in range(n_inter)]
+            self.intra = [HybridLayer(cfg.intra, rng, cfg.dtype) for _ in range(cfg.n_intra)]
+            self.inter = [HybridLayer(cfg.inter, rng, cfg.dtype) for _ in range(cfg.n_inter)]
 
     def steps(self) -> dict:
         """The block's one-argument calls by name, in order: ``intra.<i>``

@@ -30,7 +30,7 @@ import numpy as np
 from .config import ModelConfig, model_config_from_flat, model_config_to_flat, \
     parse_flat, serialize_flat
 from .model import Separator
-from .nn import Module, unique_named
+from .nn import Module
 from .tensor import ConfigError
 
 MAGIC = b"TSEP"
@@ -135,8 +135,8 @@ def load_checkpoint(path):
 
 
 def model_state(model: Module) -> dict[str, np.ndarray]:
-    """Named weights in graph order, deduplicated (shared appear once)."""
-    return {name: p.data for name, p in unique_named(model.named_parameters())}
+    """Named weights in graph order; a shared weight appears once."""
+    return {name: p.data for name, p in model.named_parameters()}
 
 
 def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
@@ -148,7 +148,7 @@ def load_model_state(model: Module, tensors: dict[str, np.ndarray]) -> None:
     an aligned copy cast to its dtype. The model may therefore share memory
     with ``tensors``, and through them with the file's mapping."""
     weights = {k: v for k, v in tensors.items() if not k.startswith("optim.")}
-    lookup = dict(unique_named(model.named_parameters()))
+    lookup = dict(model.named_parameters())
     missing = sorted(set(lookup) - set(weights))
     if missing:
         raise ConfigError(f"checkpoint lacks weights for: {', '.join(missing[:5])}")

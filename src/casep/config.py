@@ -16,7 +16,7 @@ import numpy as np
 
 from .chunking import chunk_hop
 from .codec import EncoderConfig
-from .optim import check_adam_settings
+from .optim import MAX_STEPS, check_adam_settings
 from .tensor import ConfigError
 
 
@@ -170,6 +170,8 @@ class TrainSettings:
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
+        if self.steps > MAX_STEPS:
+            raise ConfigError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
         check_seed(self.seed)

@@ -34,9 +34,7 @@ class Separator(Module):
         self.encoder = Encoder(cfg.encoder, rng, dtype)
         self.pre_norm = LayerNorm(d, dtype=dtype)
         self.pre_linear = Linear(d, d, rng, dtype=dtype)
-        self.blocks = [DualPathBlock(cfg.intra, cfg.inter, cfg.n_intra, cfg.n_inter,
-                                     cfg.shared, rng, dtype)
-                       for _ in range(cfg.n_blocks)]
+        self.blocks = [DualPathBlock(cfg, rng) for _ in range(cfg.n_blocks)]
         self.post_linear = Linear(d, d * cfg.speakers, rng, dtype=dtype)
         self.post_act = PReLU(dtype=dtype)
         self.mask_in = [Linear(d, d, rng, dtype=dtype) for _ in range(cfg.speakers)]

@@ -27,39 +27,36 @@ def uniform_param(rng: np.random.Generator | None, shape, fan_in: int,
     return Parameter(rng.uniform(-bound, bound, size=shape).astype(dtype))
 
 
-def unique_named(named_params) -> list[tuple[str, Parameter]]:
-    """(name, parameter) pairs in order, keeping the first name of each
-    parameter object; shared weights appear once."""
-    first: dict[int, tuple[str, Parameter]] = {}
-    for name, p in named_params:
-        first.setdefault(id(p), (name, p))
-    return list(first.values())
-
-
 class Module:
     """Base class whose parameters are found by walking its attributes.
 
-    ``named_parameters`` yields the Parameter attributes, then the dotted
+    ``named_parameters`` lists the Parameter attributes, then the dotted
     paths into the Module attributes and the lists of Modules (``name.<i>.``),
-    each group in assignment order. A module instance reachable through
-    several paths is reported once per path, so ``parameters()``
-    deduplicates by identity.
+    each group in assignment order. A parameter reachable through several
+    paths is listed once, under the first of them.
     """
 
-    def named_parameters(self, prefix: str = ""):
-        attrs = vars(self).items()
-        for name, value in attrs:
-            if isinstance(value, Parameter):
-                yield prefix + name, value
-        for name, value in attrs:
-            if isinstance(value, Module):
-                yield from value.named_parameters(f"{prefix}{name}.")
-            elif isinstance(value, list):
-                for i, module in enumerate(value):
-                    yield from module.named_parameters(f"{prefix}{name}.{i}.")
+    def named_parameters(self) -> list[tuple[str, Parameter]]:
+        # a loop, not a closure that calls itself: such a closure is a
+        # reference cycle, which keeps every parameter it met (and a loaded
+        # checkpoint's mapping) alive until the cycle collector runs
+        found: dict[int, tuple[str, Parameter]] = {}
+        stack = [("", self)]
+        while stack:
+            prefix, module = stack.pop()
+            subs = []
+            for name, value in vars(module).items():
+                if isinstance(value, Parameter):
+                    found.setdefault(id(value), (prefix + name, value))
+                elif isinstance(value, Module):
+                    subs.append((f"{prefix}{name}.", value))
+                elif isinstance(value, list):
+                    subs += [(f"{prefix}{name}.{i}.", item) for i, item in enumerate(value)]
+            stack += reversed(subs)     # depth first, in assignment order
+        return list(found.values())
 
     def parameters(self) -> list[Parameter]:
-        return [p for _, p in unique_named(self.named_parameters())]
+        return [p for _, p in self.named_parameters()]
 
     def zero_grad(self) -> None:
         """Drop every gradient; the next backward makes fresh ones."""

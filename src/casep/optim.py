@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 
-from .nn import unique_named
 from .tensor import ConfigError
+
+# the most steps a run may take: a checkpoint stores the step count as a
+# float32, which holds every integer exactly only up to 2**24
+MAX_STEPS = 2 ** 24
 
 
 def check_adam_settings(lr: float, beta1: float, beta2: float, eps: float) -> None:
@@ -38,7 +41,10 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._entries = unique_named(named_params)
+        first: dict[int, tuple] = {}
+        for name, p in named_params:       # an aliased parameter is updated once
+            first.setdefault(id(p), (name, p))
+        self._entries = list(first.values())
         dtypes = {p.data.dtype for _, p in self._entries}
         if len(dtypes) > 1:
             raise ConfigError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
@@ -83,12 +89,21 @@ class Adam:
         missing = [k for k in self.state_tensors() if k not in tensors]
         if missing:
             raise ConfigError(f"checkpoint lacks optimizer state: {', '.join(missing[:3])}")
+        step = tensors["optim.step"]
+        if step.shape != (1,) or not (0 <= step[0] <= MAX_STEPS and step[0] % 1 == 0):
+            raise ConfigError(f"optimizer state optim.step must hold one integer in "
+                              f"[0, {MAX_STEPS}], got {step}")
         for name, p in self._entries:
             m = tensors[f"optim.m.{name}"]
             v = tensors[f"optim.v.{name}"]
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ConfigError(f"optimizer state shape mismatch for {name}")
-        self.step_count = int(round(float(tensors["optim.step"][0])))
+            if not np.isfinite(m).all():
+                raise ConfigError(f"optimizer state optim.m.{name} is non-finite")
+            if not (np.isfinite(v).all() and (v >= 0).all()):
+                raise ConfigError(f"optimizer state optim.v.{name} must be finite "
+                                  "and >= 0")
+        self.step_count = int(step[0])
         for (name, _), sl in zip(self._entries, self._slices):
             self._m_flat[sl] = tensors[f"optim.m.{name}"].reshape(-1)
             self._v_flat[sl] = tensors[f"optim.v.{name}"].reshape(-1)

@@ -287,16 +287,20 @@ def log(a) -> Tensor:
 # -- reductions, shape ops ------------------------------------------------
 
 
+def _spread(g: np.ndarray, axes, keepdims: bool, shape: tuple) -> np.ndarray:
+    """The gradient ``g`` of a reduction over ``axes``, broadcast back to the
+    reduced input's ``shape`` (a read-only view)."""
+    if axes is not None and not keepdims:
+        g = np.expand_dims(g, axes)
+    return np.broadcast_to(g, shape)
+
+
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _wrap(a)
     axes = _norm_axes(axis, a.data.ndim)
 
     def bwd(g):
-        gg = g
-        if axes is not None and not keepdims:
-            for ax in sorted(axes):
-                gg = np.expand_dims(gg, ax)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(a, _spread(g, axes, keepdims, a.data.shape))
 
     return _from_op(a.data.sum(axis=axes, keepdims=keepdims), (a,), bwd)
 
@@ -311,11 +315,7 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     inv = 1.0 / count
 
     def bwd(g):
-        gg = g
-        if axes is not None and not keepdims:
-            for ax in sorted(axes):
-                gg = np.expand_dims(gg, ax)
-        _accum(a, np.broadcast_to(gg, a.data.shape) * inv)
+        _accum(a, _spread(g, axes, keepdims, a.data.shape) * inv)
 
     return _from_op(a.data.mean(axis=axes, keepdims=keepdims), (a,), bwd)
 
@@ -656,16 +656,14 @@ def depthwise_conv1d(x, kernels) -> Tensor:
     return _from_op(out_data, (x, kernels), bwd)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis with biased variance, then affine."""
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize over the last axis with biased variance plus 1e-5, then affine."""
     x, gamma, beta = _wrap(x), _wrap(gamma, x.dtype), _wrap(beta, x.dtype)
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
     width = x.data.shape[-1]
     if gamma.data.shape != (width,) or beta.data.shape != (width,):
         raise ShapeError("layer_norm gamma/beta must match the last axis")
     normed = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+    std = np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + 1e-5)
     normed /= std
     out = normed * gamma.data
     out += beta.data

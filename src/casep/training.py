@@ -23,7 +23,6 @@ from .config import EvalSettings, ModelConfig, SyntheticSpec, check_seed, config
     serialize_flat, synthetic_spec_from_flat, train_settings_from_flat
 from .metrics import MAX_SPEAKERS, improvements, upit_loss
 from .model import Separator
-from .nn import unique_named
 from .optim import Adam
 from .synth import gen_mixture
 from .tensor import ConfigError, NonFiniteError, Tensor, no_grad
@@ -100,7 +99,10 @@ def train_run(entries: dict[str, str], resume: str | None = None,
                beta1=settings.beta1, beta2=settings.beta2, eps=settings.eps)
     if resume is not None:
         # the file is mapped copy-on-write: a second read copies no weights
-        opt.load_state(load_checkpoint(resume)[2])
+        try:
+            opt.load_state(load_checkpoint(resume)[2])
+        except ConfigError as exc:
+            raise ConfigError(f"{resume}: {exc}") from None
         if opt.step_count >= settings.steps:
             # raised before anything is written: the finished run stays as it is
             raise ConfigError(f"{resume}: the checkpoint is at step {opt.step_count} "
@@ -230,7 +232,7 @@ def grad_check_run(cfg: ModelConfig, spec: SyntheticSpec, seed: int = 0,
     pit = example_loss(model, mix, sources)
     pit.loss.backward()
 
-    groups = unique_named(model.named_parameters())
+    groups = model.named_parameters()
     per_group = max(1, math.ceil(min_coords / len(groups)))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 424243)))
     coords = []

@@ -84,8 +84,8 @@ class TestCriterion3:
                                n_inter=reps)
             tied_cfg = replace(tiny_model_config(shared=True), n_intra=reps,
                                n_inter=reps)
-            analytic_ok = (model_param_report(full_cfg).mask_net_layers
-                           == reps * model_param_report(tied_cfg).mask_net_layers)
+            analytic_ok = (model_param_report(full_cfg).mask_net
+                           == reps * model_param_report(tied_cfg).mask_net)
             full = Separator.build(full_cfg, 0).blocks[0]
             tied = Separator.build(tied_cfg, 0).blocks[0]
             empirical_ok = (sum(p.size for p in full.parameters())

@@ -1,6 +1,6 @@
 """Closed-form parameter accounting against enumeration and published budgets."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -114,7 +114,7 @@ class TestModelReport:
                                n_inter=reps)
             full = model_param_report(cfg_full)
             tied = model_param_report(cfg_tied)
-            assert full.mask_net_layers == reps * tied.mask_net_layers
+            assert full.mask_net == reps * tied.mask_net
 
     def test_report_text_carries_verdict(self):
         cfg = tiny_model_config()
@@ -129,6 +129,17 @@ class TestModelReport:
         assert kv["params.total_analytic"] == str(
             model_param_report(cfg).total_analytic)
         assert "params.total_empirical" not in kv
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_report_kv_key_is_field_name(self, with_model):
+        # every key is params.<field> of a field that is set, and no field is left out
+        cfg = tiny_model_config()
+        report = model_param_report(cfg, Separator.build(cfg, None) if with_model else None)
+        kv = param_report_kv(report)
+        set_fields = [f.name for f in fields(report) if getattr(report, f.name) is not None]
+        assert sorted(kv) == sorted(f"params.{name}" for name in set_fields)
+        assert all(kv[f"params.{name}"] == str(getattr(report, name)) for name in set_fields)
+        assert ("params.total_empirical" in kv) == with_model
 
 
 class TestReferenceBudgets:

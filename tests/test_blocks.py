@@ -1,5 +1,7 @@
 """Hybrid attention+conv layer and the dual-path block."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ import casep.tensor as T
 from casep import blocks
 from casep.blocks import DualPathBlock, HybridLayer, channel_split, slab_size
 from casep.chunking import segment
-from casep.config import PathConfig
+from casep.codec import EncoderConfig
+from casep.config import ModelConfig, PathConfig
 from casep.tensor import ConfigError, Tensor, no_grad
+from conftest import tiny_model_config
 
 
 def path_cfg(width=8, attn=4, conv=4, heads=2, kernel=3, ffn=16):
@@ -17,6 +21,14 @@ def path_cfg(width=8, attn=4, conv=4, heads=2, kernel=3, ffn=16):
 
 def make_layer(cfg=None, seed=0, dtype=np.float32):
     return HybridLayer(cfg or path_cfg(), np.random.default_rng(seed), dtype=dtype)
+
+
+def block_cfg(shared=False, n_intra=2, n_inter=2, precision="single"):
+    """A width-8 model config whose blocks have ``path_cfg`` layers."""
+    return ModelConfig(encoder=EncoderConfig(filters=8, kernel=4, stride=2),
+                       chunk_size=4, speakers=2, n_blocks=1, n_intra=n_intra,
+                       n_inter=n_inter, intra=path_cfg(), inter=path_cfg(kernel=5),
+                       shared=shared, precision=precision)
 
 
 class TestSlabSize:
@@ -178,10 +190,9 @@ class TestHybridLayer:
 
 
 class TestDualPathBlock:
-    def make_block(self, shared, n_intra=2, n_inter=2, seed=0, dtype=np.float32):
-        rng = np.random.default_rng(seed)
-        return DualPathBlock(path_cfg(), path_cfg(kernel=5), n_intra, n_inter,
-                             shared, rng, dtype=dtype)
+    def make_block(self, shared, n_intra=2, n_inter=2, seed=0, precision="single"):
+        return DualPathBlock(block_cfg(shared, n_intra, n_inter, precision),
+                             np.random.default_rng(seed))
 
     def test_shape_preserved(self, rng):
         block = self.make_block(shared=False, n_intra=1, n_inter=1)
@@ -202,8 +213,30 @@ class TestDualPathBlock:
         assert unshared_intra == 4 * shared_intra
 
     def test_bad_repetition_counts(self):
-        with pytest.raises(ConfigError):
+        # the model config refuses them before a block is built
+        with pytest.raises(ConfigError, match="repetition counts must be >= 1"):
             self.make_block(shared=False, n_intra=0)
+
+    @pytest.mark.parametrize("shared, precision, layers, prefixes", [
+        (False, "single", 5, ["intra.0.", "intra.1.", "intra.2.", "inter.0.", "inter.1."]),
+        (True, "double", 2, ["intra.", "inter."]),
+    ])
+    def test_layers_follow_the_model_config(self, shared, precision, layers, prefixes):
+        cfg = replace(tiny_model_config(shared=shared, precision=precision),
+                      n_intra=3, n_inter=2)
+        block = DualPathBlock(cfg, np.random.default_rng(0))
+        steps = block.steps()
+        assert list(steps) == ["intra.0", "intra.1", "intra.2", "swap",
+                               "inter.0", "inter.1", "unswap"]
+        assert len({id(s) for k, s in steps.items() if "swap" not in k}) == layers
+        assert all(s.cfg is (cfg.intra if k.startswith("intra") else cfg.inter)
+                   for k, s in steps.items() if "swap" not in k)
+        names = [n for n, _ in block.named_parameters()]
+        per_layer = len(HybridLayer(cfg.intra, None).named_parameters())
+        assert len(names) == layers * per_layer
+        assert [n for n in names if n.endswith(".ffn_in.weight")] == [
+            p + "ffn_in.weight" for p in prefixes]
+        assert {p.data.dtype for _, p in block.named_parameters()} == {np.dtype(cfg.dtype)}
 
     def test_unshared_equals_shared_at_identical_init(self, rng):
         shared = self.make_block(shared=True, seed=3)
@@ -221,7 +254,7 @@ class TestDualPathBlock:
 
     def test_shared_gradient_matches_finite_differences(self, rng):
         # reuse of one layer across iterations must sum the gradients
-        block = self.make_block(shared=True, seed=5, dtype=np.float64)
+        block = self.make_block(shared=True, seed=5, precision="double")
         x = rng.standard_normal((10, 8))
         chunks = segment(Tensor(x), 4)
         proj = rng.standard_normal(chunks.shape)
@@ -261,8 +294,7 @@ class TestAttentionRecorder:
 
     def test_keys_and_shapes(self, rng):
         # within-chunk maps span chunk frames, across-chunk maps span chunks
-        block = DualPathBlock(path_cfg(), path_cfg(kernel=5), 2, 1, False,
-                              np.random.default_rng(0))
+        block = DualPathBlock(block_cfg(n_intra=2, n_inter=1), np.random.default_rng(0))
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
         n_chunks, size = chunks.shape[:2]
         with no_grad():
@@ -277,8 +309,7 @@ class TestAttentionRecorder:
         assert slabs["inter", 0][0].shape == (size, 2, n_chunks, n_chunks)
 
     def test_rows_sum_to_one(self, rng):
-        block = DualPathBlock(path_cfg(), path_cfg(kernel=5), 1, 1, False,
-                              np.random.default_rng(0))
+        block = DualPathBlock(block_cfg(n_intra=1, n_inter=1), np.random.default_rng(0))
         chunks = segment(Tensor(rng.standard_normal((10, 8)).astype(np.float32)), 4)
         with no_grad():
             intra, = block.intra[0].attention_maps(chunks)

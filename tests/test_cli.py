@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import SMOKE_CONFIG_TEXT, two_sine_spec
 
-from casep import blocks, cli, codec, nn
+from casep import blocks, cli, codec, nn, training
 from casep.checkpoint import load_checkpoint, model_state, save_checkpoint
 from casep.cli import build_parser, main
 from casep.codec import Waveform
@@ -145,6 +145,39 @@ class TestTrain:
         code = main(["train", str(config_file), "--resume", str(trained)])
         line = assert_one_line_error(code, capsys)
         assert f"{trained}: checkpoint weight mask_out.1.bias is non-finite" in line
+
+    @pytest.mark.parametrize("name, value, named", [
+        ("optim.step", 2.4, "optim.step must hold one integer in [0, 16777216], got [2.4]"),
+        ("optim.step", -3.0, "optim.step must hold one integer in [0, 16777216], got [-3.]"),
+        ("optim.step", np.nan, "optim.step must hold one integer in [0, 16777216], got [nan]"),
+        ("optim.step", 2.0 ** 24 + 2, "optim.step must hold one integer"),
+        ("optim.m.mask_out.1.bias", np.nan, "optim.m.mask_out.1.bias is non-finite"),
+        ("optim.v.pre_norm.gamma", -1.0, "optim.v.pre_norm.gamma must be finite and >= 0"),
+        ("optim.v.pre_norm.gamma", np.inf, "optim.v.pre_norm.gamma must be finite and >= 0"),
+    ])
+    def test_resume_from_corrupt_optimizer_state_is_a_cli_error(
+            self, config_file, trained, tmp_path, capsys, name, value, named):
+        # blamed on the file, before a step runs or an output directory is made
+        cfg, entries, tensors = load_checkpoint(trained)
+        tensors[name].flat[0] = value
+        save_checkpoint(trained, cfg, tensors)
+        set_keys(config_file, f"train.steps = 6\ntrain.out_dir = {tmp_path / 'more'}\n")
+        code = main(["train", str(config_file), "--resume", str(trained)])
+        line = assert_one_line_error(code, capsys)
+        assert line.startswith(f"error: {trained}: optimizer state ") and named in line
+        assert not (tmp_path / "more").exists()
+
+    def test_steps_past_float32_integers_is_a_cli_error(self, config_file, tmp_path,
+                                                       capsys, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "mixture_arrays", no_step)
+        set_keys(config_file, "train.steps = 16777217\n")
+        code = main(["train", str(config_file)])
+        line = assert_one_line_error(code, capsys)
+        assert "train: steps must be <= 16777216, got 16777217" in line
+        assert not (tmp_path / "run").exists()
 
     def test_resume_draws_no_weights(self, config_file, trained, draws, capsys):
         cfg = model_config_from_flat(parse_flat(config_file.read_text()))

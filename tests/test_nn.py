@@ -55,9 +55,23 @@ class TestModuleRegistration:
                 self.b = inner
 
         tied = Tied()
-        assert len(list(tied.named_parameters())) == 4   # both paths reported
+        # each parameter once, under the first path that reaches it
+        assert [n for n, _ in tied.named_parameters()] == ["a.weight", "a.bias"]
+        assert [p for _, p in tied.named_parameters()] == [tied.a.weight, tied.a.bias]
         assert len(tied.parameters()) == 2               # one storage each
         assert tied.param_count() == 12
+
+    def test_tied_parameter_keeps_first_name_and_place(self):
+        # a parameter met again later keeps the name and place it was first met at
+        class Tied(Module):
+            def __init__(self):
+                self.first = Linear(2, 2, np.random.default_rng(0))
+                self.layers = [Linear(2, 2, np.random.default_rng(1)), self.first]
+                self.again = self.layers[0]
+
+        names = [n for n, _ in Tied().named_parameters()]
+        assert names == ["first.weight", "first.bias",
+                         "layers.0.weight", "layers.0.bias"]
 
     def test_zero_grad(self):
         lin = Linear(2, 2, np.random.default_rng(0))
